@@ -44,11 +44,11 @@ from repro.ir.expr import (
     Expr,
     Load,
     UnOp,
-    UnOpKind,
     VarRead,
 )
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.ir.semantics import BINARY, UNARY, wrap_int
 from repro.ir.stmt import (
     Alloc,
     Assign,
@@ -71,28 +71,8 @@ GLOBAL_BASE = 0x1000
 STACK_BASE = 0x10_0000
 HEAP_BASE = 0x100_0000
 
-_INT_MASK = (1 << 64) - 1
-
-
-def wrap_int(v: int) -> int:
-    """Wrap to signed 64-bit (two's complement)."""
-    v &= _INT_MASK
-    return v - (1 << 64) if v >= (1 << 63) else v
-
-
-def int_div(a: int, b: int) -> int:
-    """C-style integer division (truncates toward zero)."""
-    if b == 0:
-        raise InterpError("integer division by zero")
-    q = abs(a) // abs(b)
-    return wrap_int(-q if (a < 0) != (b < 0) else q)
-
-
-def int_mod(a: int, b: int) -> int:
-    """C-style remainder: ``a == int_div(a,b)*b + int_mod(a,b)``."""
-    if b == 0:
-        raise InterpError("integer modulo by zero")
-    return wrap_int(a - int_div(a, b) * b)
+#: module aliases: an enum-member lookup per evaluated operator is slow
+_AND, _OR = BinOpKind.AND, BinOpKind.OR
 
 
 def format_value(value: Union[int, float]) -> str:
@@ -310,25 +290,13 @@ class Interpreter:
                 return result
             if isinstance(stmt, Jump):
                 block, idx = stmt.target, 0
-                if hp is not None:
-                    t_now = hp.now()
-                    hp.add("interp.op.Jump", t_now - t_mark - hp.take_sub())
-                    t_mark = t_now
-                continue
-            if isinstance(stmt, CondBranch):
+            elif isinstance(stmt, CondBranch):
                 taken = self._eval(stmt.cond)
                 block = stmt.then_block if taken else stmt.else_block
                 idx = 0
-                if hp is not None:
-                    t_now = hp.now()
-                    hp.add(
-                        "interp.op.CondBranch",
-                        t_now - t_mark - hp.take_sub(),
-                    )
-                    t_mark = t_now
-                continue
-            self._exec(stmt)
-            idx += 1
+            else:
+                self._exec(stmt)
+                idx += 1
             if hp is not None:
                 t_now = hp.now()
                 hp.add(
@@ -372,17 +340,11 @@ class Interpreter:
         elif isinstance(stmt, Call):
             callee = self.module.function(stmt.callee)
             args = [self._eval(a) for a in stmt.args]
-            hp = self.host
-            if hp is None:
-                result = self._call(callee, args)
-            else:
-                # The callee's dispatch loop accounts for its own time;
-                # defer the whole call so the Call bucket only keeps
-                # argument evaluation + frame bookkeeping residue.
-                _t = hp.now()
-                result = self._call(callee, args)
-                hp.take_sub()
-                hp.defer(hp.now() - _t)
+            # Under the host profiler the callee's dispatch loop buckets
+            # its own time: the Call bucket keeps only argument
+            # evaluation + frame bookkeeping residue.
+            call = self._call if self.host is None else self.host.deferred(self._call)
+            result = call(callee, args)
             if stmt.result is not None:
                 if result is None:
                     raise InterpError(f"void call used as value: {stmt}")
@@ -426,8 +388,6 @@ class Interpreter:
     def _coerce(ty: Type, value: Union[int, float]) -> Union[int, float]:
         if isinstance(ty, FloatType):
             return float(value)
-        if isinstance(value, float):
-            return wrap_int(int(value))
         return wrap_int(int(value))
 
     @staticmethod
@@ -471,58 +431,18 @@ class Interpreter:
 
     def _eval_binop(self, expr: BinOp) -> Union[int, float]:
         op = expr.op
-        if op is BinOpKind.AND:
+        if op is _AND:
             return 1 if (self._eval(expr.left) and self._eval(expr.right)) else 0
-        if op is BinOpKind.OR:
+        if op is _OR:
             return 1 if (self._eval(expr.left) or self._eval(expr.right)) else 0
-        lhs = self._eval(expr.left)
-        rhs = self._eval(expr.right)
-        if op is BinOpKind.ADD:
-            r = lhs + rhs
-        elif op is BinOpKind.SUB:
-            r = lhs - rhs
-        elif op is BinOpKind.MUL:
-            r = lhs * rhs
-        elif op is BinOpKind.DIV:
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                if rhs == 0:
-                    raise InterpError("float division by zero")
-                r = lhs / rhs
-            else:
-                r = int_div(lhs, rhs)
-        elif op is BinOpKind.MOD:
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                raise InterpError("modulo on float operands")
-            r = int_mod(lhs, rhs)
-        elif op is BinOpKind.EQ:
-            r = 1 if lhs == rhs else 0
-        elif op is BinOpKind.NE:
-            r = 1 if lhs != rhs else 0
-        elif op is BinOpKind.LT:
-            r = 1 if lhs < rhs else 0
-        elif op is BinOpKind.LE:
-            r = 1 if lhs <= rhs else 0
-        elif op is BinOpKind.GT:
-            r = 1 if lhs > rhs else 0
-        elif op is BinOpKind.GE:
-            r = 1 if lhs >= rhs else 0
-        else:
-            raise InterpError(f"unknown binop {op}")
+        r = BINARY[op](self._eval(expr.left), self._eval(expr.right))
         if isinstance(r, int) and not expr.type.is_float:
             r = wrap_int(r)
         return r
 
     def _eval_unop(self, expr: UnOp) -> Union[int, float]:
-        v = self._eval(expr.operand)
-        if expr.op is UnOpKind.NEG:
-            return -v if isinstance(v, float) else wrap_int(-v)
-        if expr.op is UnOpKind.NOT:
-            return 0 if v else 1
-        if expr.op is UnOpKind.I2F:
-            return float(v)
-        if expr.op is UnOpKind.F2I:
-            return wrap_int(int(v))
-        raise InterpError(f"unknown unop {expr.op}")
+        r = UNARY[expr.op](self._eval(expr.operand))
+        return wrap_int(r) if isinstance(r, int) else r
 
 
 def run_module(

@@ -51,26 +51,22 @@ class CacheStats:
 
 
 class _Level:
-    def __init__(self, config: CacheLevelConfig, line_words: int) -> None:
+    def __init__(self, config: CacheLevelConfig) -> None:
         self.config = config
-        self.line_shift = line_words
-        self._sets: list[dict[int, int]] = [dict() for _ in range(config.sets)]
+        self._nsets, self._ways = config.sets, config.associativity
+        self._sets: list[dict[int, int]] = [dict() for _ in range(self._nsets)]
         self._clock = 0
-
-    def _locate(self, addr: int, line_words: int) -> tuple[int, int]:
-        line = addr // line_words
-        return line % self.config.sets, line
 
     def access(self, addr: int, line_words: int) -> bool:
         """Touch the line; True on hit (LRU within the set)."""
         self._clock += 1
-        index, line = self._locate(addr, line_words)
-        bucket = self._sets[index]
+        line = addr // line_words
+        bucket = self._sets[line % self._nsets]
         if line in bucket:
             bucket[line] = self._clock
             return True
-        if len(bucket) >= self.config.associativity:
-            victim = min(bucket, key=lambda l: bucket[l])
+        if len(bucket) >= self._ways:
+            victim = min(bucket, key=bucket.__getitem__)
             del bucket[victim]
         bucket[line] = self._clock
         return False
@@ -91,8 +87,8 @@ class CacheHierarchy:
         if injector is not None:
             self.config = injector.effective_cache_config(self.config)
         self.stats = CacheStats()
-        self._l1 = _Level(self.config.l1, self.config.line_words)
-        self._l2 = _Level(self.config.l2, self.config.line_words)
+        self._l1 = _Level(self.config.l1)
+        self._l2 = _Level(self.config.l2)
         #: optional ``callable(event_name, **fields)``; set by the
         #: simulator only when tracing is on.
         self.observer = None

@@ -13,26 +13,29 @@ the evaluation section measures — many eliminated loads → fewer
 data-access cycles → modestly fewer CPU cycles, with FP loads worth
 more — without simulating Itanium bundles.
 
-Functional semantics mirror the IR interpreter exactly (shared
-``wrap_int``/``int_div``/``format_value`` helpers), so interpreter and
+Functional semantics mirror the IR interpreter exactly (both compute
+operators through :mod:`repro.ir.semantics`), so interpreter and
 simulator outputs are directly comparable in differential tests.
+
+Execution
+---------
+Each function is decoded once per simulator, on its first call, into
+label-free ``(handler, reads)`` ops: a closure bound to the operands,
+and the registers the scoreboard waits on.  Branch targets are op
+indices; registers, ready times and immediates (constant slots) are
+slot lists.  Runs with no hook take the plain loop; a guest profile,
+fault injector, counter snapshots or host profiler take the
+instrumented loop over the same ops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NoReturn, Optional
 
-from repro.errors import MachineError, MachineLimitExceeded
-from repro.ir.expr import BinOpKind, UnOpKind
-from repro.ir.interp import (
-    HEAP_BASE,
-    STACK_BASE,
-    format_value,
-    int_div,
-    int_mod,
-    wrap_int,
-)
+from repro.errors import InterpError, MachineError, MachineLimitExceeded
+from repro.ir.interp import HEAP_BASE, STACK_BASE, format_value
+from repro.ir.semantics import BINARY, UNARY, Value, wrap_int
 from repro.machine.alat import ALAT, ALATConfig
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.counters import Counters
@@ -64,7 +67,9 @@ from repro.target.isa import (
     Un,
 )
 
-Value = Union[int, float]
+#: what a handler returns instead of a next op index to leave the function
+_RETURN = -1
+_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @dataclass
@@ -115,15 +120,39 @@ class MachineResult:
         )
 
 
+@dataclass(slots=True)
 class _Frame:
-    __slots__ = ("mf", "serial", "regs", "ready", "frame_base")
+    """One activation: ALAT-tag ``serial``, frame ``base``, return ``result``."""
 
-    def __init__(self, mf: MFunction, serial: int, frame_base: int) -> None:
-        self.mf = mf
-        self.serial = serial
-        self.regs: dict[int, Value] = {}
-        self.ready: dict[int, int] = {}  # reg -> slot time
-        self.frame_base = frame_base
+    serial: int
+    base: int
+    result: Optional[Value] = None
+
+
+@dataclass(slots=True)
+class _Code:
+    """One decoded function: ``ops[pc]`` runs ``instrs[pc]``; ``slots`` is
+    the initial register file: ``nregs`` zeroed registers, then constants."""
+
+    name: str
+    ops: list
+    instrs: list
+    slots: list
+    nregs: int
+
+
+def _bad_address(value: Value, mf: MFunction) -> NoReturn:
+    if isinstance(value, float):
+        raise MachineError(f"float used as address in {mf.name}")
+    raise MachineError(f"invalid address {value} in {mf.name}")
+
+
+def _unknown_label(mf: MFunction, name: str) -> NoReturn:
+    raise MachineError(f"{mf.name}: unknown label {name!r}")
+
+
+def _fell_off(code: _Code) -> NoReturn:
+    raise MachineError(f"{code.name}: fell off the end of the function") from None
 
 
 class Simulator:
@@ -142,8 +171,8 @@ class Simulator:
         #: *host* wall-clock by simulated-opcode class.  Like tracing
         #: and guest profiling, it never mutates simulator state, so
         #: simulated counters are bit-identical with it on or off.
-        self.host = host_profiler
-        _t0 = host_profiler.now() if host_profiler is not None else 0
+        self.host = hp = host_profiler
+        _t0 = hp.now() if hp is not None else 0
         self.program = program
         self.config = config or MachineConfig()
         self.obs = obs if obs is not None else NULL_TRACE
@@ -163,19 +192,20 @@ class Simulator:
         self._heap_top = HEAP_BASE
         self._serial = 0
         self._w = self.config.issue_width
-        # counters split kept here (Counters holds the public subset)
-        self.retired_direct_loads = 0
+        self._code: dict[MFunction, _Code] = {}
         if self.obs.enabled:
             self._attach_observers()
-        #: attribution collector; ``None`` keeps the hot loop on the
-        #: exact unprofiled path (profiling never mutates simulator
+        #: attribution collector; ``None`` keeps the decoded ops off
+        #: every profiling call (profiling never mutates simulator
         #: state, so counters stay bit-identical either way)
         self.profile: Optional[RunProfile] = None
         if profile:
             self.profile = RunProfile(program, self._w)
             self._attach_profile_observer()
-        if host_profiler is not None:
-            host_profiler.add("sim.init", host_profiler.now() - _t0)
+        self._hooked = bool(self.obs.snapshot_every or self.profile is not None
+                            or injector is not None or hp is not None)
+        if hp is not None:
+            hp.add("sim.init", hp.now() - _t0)
 
     def _attach_observers(self) -> None:
         """Hook the machine components into the trace context.
@@ -231,6 +261,7 @@ class Simulator:
         if hp is not None:
             hp.add("sim.run", hp.now() - _t0)
         result = self._run_function(main, list(args or []))
+        self._code.clear()  # the decoded ops close over self: free the cycle
         if hp is not None:
             _t0 = hp.now()
         self.counters.rse_cycles = self.rse.stats.rse_cycles
@@ -253,415 +284,423 @@ class Simulator:
             self.rse, profile=self.profile,
         )
 
-    # -- helpers ----------------------------------------------------------
-
-    def _charge_cycles(self, cycles: int) -> None:
-        self.time += cycles * self._w
-
-    def _fault(self, msg: str) -> None:
-        raise MachineError(msg)
-
-    def _read_reg(self, frame: _Frame, reg: int) -> Value:
-        return frame.regs.get(reg, 0)
-
-    def _load_value(self, addr: int) -> Value:
-        return self.mem.get(addr, 0)
-
     # -- execution -----------------------------------------------------------
 
     def _run_function(self, mf: MFunction, args: list[Value]) -> Optional[Value]:
         hp = self.host
         _t0 = hp.now() if hp is not None else 0
+        code = self._code.get(mf)
+        if code is None:
+            code = self._code[mf] = self._decode(mf)
         self._serial += 1
-        frame = _Frame(mf, self._serial, self._stack_top)
+        base = self._stack_top
+        frame = _Frame(self._serial, base)
         self._stack_top += mf.frame_words
-        for i, arg in enumerate(args):
-            frame.regs[i] = arg
-            frame.ready[i] = self.time
+        n = min(len(args), code.nregs)
+        regs = code.slots[:]
+        regs[:n] = args[:n]
+        ready = [self.time] * n + [0] * (len(regs) - n)
         # zero-initialise the memory frame (MiniC semantics)
-        for w in range(mf.frame_words):
-            self.mem[frame.frame_base + w] = 0
+        self.mem.update(dict.fromkeys(range(base, base + mf.frame_words), 0))
         if hp is not None:
             hp.add("sim.frame", hp.now() - _t0)
 
+        loop = self._instrumented_loop if self._hooked else self._plain_loop
         try:
-            return self._execute(frame)
+            return loop(code, regs, ready, frame)
         finally:
             if hp is not None:
                 _t0 = hp.now()
-            for w in range(mf.frame_words):
-                self.mem.pop(frame.frame_base + w, None)
-            self._stack_top = frame.frame_base
+            for addr in range(base, base + mf.frame_words):
+                self.mem.pop(addr, None)
+            self._stack_top = base
             if hp is not None:
                 hp.add("sim.frame", hp.now() - _t0)
 
-    def _execute(self, frame: _Frame) -> Optional[Value]:
-        mf = frame.mf
-        instrs = mf.instrs
-        counters = self.counters
+    def _plain_loop(self, code: _Code, regs: list, ready: list,
+                    frame: _Frame) -> Optional[Value]:
+        ops = code.ops
+        counters, limit = self.counters, self.config.max_instructions
         pc = 0
-        w = self._w
-        # Hoisted tracing state: ``snap`` is 0 unless a real sink is
-        # attached, so the disabled path pays one falsy check per
-        # retired instruction and nothing else.
-        obs = self.obs
+        while True:
+            try:
+                handler, reads = ops[pc]
+            except IndexError:
+                _fell_off(code)
+            counters.instructions += 1
+            if counters.instructions > limit:
+                raise MachineLimitExceeded(f"exceeded {limit} instructions")
+            # issue: wait for source operands, then take one slot
+            start = self.time
+            for r in reads:
+                if ready[r] > start:
+                    start = ready[r]
+            self.time = start + 1
+            pc = handler(regs, ready, start, frame)
+            if pc < 0:
+                return frame.result
+
+    def _instrumented_loop(self, code: _Code, regs: list, ready: list,
+                           frame: _Frame) -> Optional[Value]:
+        """The plain loop plus the per-instruction hooks: snapshots,
+        injected context switches, guest profile and host buckets."""
+        ops, instrs = code.ops, code.instrs
+        counters, limit = self.counters, self.config.max_instructions
+        obs, prof, inj = self.obs, self.profile, self.injector
         snap = obs.snapshot_every
-        # Profiling state, hoisted like the tracing state: ``prof`` is
-        # None on unprofiled runs, costing one falsy check per retired
-        # instruction and nothing else.
-        prof = self.profile
-        # Fault-injection state, same pattern: one falsy check per
-        # retired instruction when no injector is attached.
-        inj = self.injector
-        # Host-profiling state: ``hp`` is None on unprofiled runs (one
-        # falsy check per segment).  Timestamps chain — each mark ends
-        # one bucket segment and starts the next — so profiled time
-        # tiles the loop with no unattributed gaps between marks.
+        # Host-profiler timestamps chain — each mark ends one bucket
+        # segment and starts the next — so profiled time tiles the loop
+        # with no unattributed gaps between marks.
         hp = self.host
         t_mark = hp.now() if hp is not None else 0
-
+        pc = 0
         while True:
-            if pc >= len(instrs):
-                self._fault(f"{mf.name}: fell off the end of the function")
-            instr = instrs[pc]
-            pc += 1
-            if isinstance(instr, Label):
-                continue
-
+            try:
+                handler, reads = ops[pc]
+            except IndexError:
+                _fell_off(code)
             counters.instructions += 1
-            if counters.instructions > self.config.max_instructions:
-                raise MachineLimitExceeded(
-                    f"exceeded {self.config.max_instructions} instructions"
-                )
+            if counters.instructions > limit:
+                raise MachineLimitExceeded(f"exceeded {limit} instructions")
             if snap and counters.instructions % snap == 0:
                 obs.event("counters.snapshot", **counters.as_dict())
             if inj is not None and inj.context_switch():
                 self.alat.chaos_flush()
-
-            # issue: wait for source operands
-            start = self.time
-            t0 = start
-            for r in instr.reads():
-                t = frame.ready.get(r)
-                if t is not None and t > start:
-                    start = t
-            self.time = start + 1  # one issue slot
+            start = t0 = self.time
+            for r in reads:
+                if ready[r] > start:
+                    start = ready[r]
+            self.time = start + 1
             if prof is not None:
-                # operand-stall + issue slots; penalty slots charged in
-                # the dispatch arms are added at their charge sites, so
-                # the per-instruction sums tile self.time exactly (a
-                # call's callee self-attributes its own instructions)
-                prof.retire(instr, self.time - t0)
+                # operand-stall + issue slots; penalty slots are added
+                # where ops charge them, so the per-instruction sums tile
+                # self.time exactly (a callee self-attributes its own)
+                prof.retire(instrs[pc], self.time - t0)
             if hp is not None:
                 t_now = hp.now()
                 hp.add("sim.issue", t_now - t_mark)
                 hp.take_sub()
                 t_mark = t_now
-
-            # execute
-            if isinstance(instr, MovI):
-                frame.regs[instr.rd] = instr.value
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Mov):
-                frame.regs[instr.rd] = self._read_reg(frame, instr.rs)
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Lea):
-                if instr.region is Region.GLOBAL:
-                    frame.regs[instr.rd] = instr.offset
-                else:
-                    frame.regs[instr.rd] = frame.frame_base + instr.offset
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Alu):
-                frame.regs[instr.rd] = self._alu(frame, instr)
-                # FP arithmetic has FMAC-like latency on Itanium.
-                frame.ready[instr.rd] = start + w * (4 if instr.is_float else 1)
-            elif isinstance(instr, Un):
-                frame.regs[instr.rd] = self._un(frame, instr)
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, Ld):
-                self._do_load(frame, instr, start)
-            elif isinstance(instr, LdC):
-                self._do_check_load(frame, instr, start)
-            elif isinstance(instr, ChkA):
-                counters.check_instructions += 1
-                tag = (frame.serial, instr.rd)
-                if hp is None:
-                    ok = self.alat.check(tag, instr.clear)
-                else:
-                    _ta = hp.now()
-                    ok = self.alat.check(tag, instr.clear)
-                    hp.add_sub("sim.alat", hp.now() - _ta)
-                if prof is not None:
-                    prof.check(tag, instr, ok)
-                if not ok:
-                    counters.check_failures += 1
-                    counters.recovery_cycles += self.config.recovery_penalty
-                    self._charge_cycles(self.config.recovery_penalty)
-                    if prof is not None:
-                        prof.add_slots(instr, self.config.recovery_penalty * w)
-                        prof.recovery(tag, instr, self.config.recovery_penalty)
-                    pc = mf.label_index(instr.recovery_label)
-            elif isinstance(instr, InvalaE):
-                counters.explicit_invalidations += 1
-                self.alat.invalidate_entry((frame.serial, instr.rd))
-            elif isinstance(instr, St):
-                addr = self._addr(frame, instr.ra)
-                self.mem[addr] = self._read_reg(frame, instr.rs)
-                if hp is None:
-                    self.alat.snoop_store(addr)
-                    self.cache.store_touch(addr)
-                else:
-                    _ta = hp.now()
-                    self.alat.snoop_store(addr)
-                    _tc = hp.now()
-                    self.cache.store_touch(addr)
-                    hp.add_sub("sim.alat", _tc - _ta)
-                    hp.add_sub("sim.cache", hp.now() - _tc)
-                counters.retired_stores += 1
-            elif isinstance(instr, PredLd):
-                if self._read_reg(frame, instr.rp):
-                    addr = self._addr(frame, instr.ra)
-                    frame.regs[instr.rd] = self._load_value(addr)
-                    if hp is None:
-                        latency = self.cache.load_latency(addr, instr.is_float)
-                    else:
-                        _tc = hp.now()
-                        latency = self.cache.load_latency(addr, instr.is_float)
-                        hp.add_sub("sim.cache", hp.now() - _tc)
-                    frame.ready[instr.rd] = start + w * latency
-                    counters.retired_loads += 1
-                    counters.predicated_reloads += 1
-                    counters.data_access_cycles += latency
-                    if prof is not None:
-                        prof.add_data(instr, latency)
-                    if instr.indirect:
-                        counters.retired_indirect_loads += 1
-                    else:
-                        self.retired_direct_loads += 1
-            elif isinstance(instr, Br):
-                pc = mf.label_index(instr.label)
-                counters.branches += 1
-                self._charge_cycles(self.config.branch_penalty)
-                if prof is not None:
-                    prof.add_slots(instr, self.config.branch_penalty * w)
-            elif isinstance(instr, Brnz):
-                counters.branches += 1
-                if self._read_reg(frame, instr.rs):
-                    pc = mf.label_index(instr.label)
-                    self._charge_cycles(self.config.branch_penalty)
-                    if prof is not None:
-                        prof.add_slots(instr, self.config.branch_penalty * w)
-            elif isinstance(instr, CallF):
-                counters.calls += 1
-                callee = self.program.function(instr.callee)
-                self.rse.call(callee.nregs)
-                call_args = [self._read_reg(frame, r) for r in instr.arg_regs]
-                if hp is None:
-                    result = self._run_function(callee, call_args)
-                else:
-                    # The callee's instructions bucket themselves inside
-                    # the nested _execute; keep them out of CallF.
-                    _tcall = hp.now()
-                    result = self._run_function(callee, call_args)
-                    hp.take_sub()
-                    hp.defer(hp.now() - _tcall)
-                self.rse.ret()
-                if instr.result_rd is not None:
-                    if result is None:
-                        self._fault(f"void call used as value: {instr}")
-                    frame.regs[instr.result_rd] = result
-                    frame.ready[instr.result_rd] = self.time + w
-            elif isinstance(instr, RetF):
-                if hp is not None:
-                    # This arm leaves the loop, so close its bucket here
-                    # instead of at the loop bottom.
-                    hp.add(
-                        "sim.op.RetF", hp.now() - t_mark - hp.take_sub()
-                    )
-                if instr.rs is not None:
-                    return self._read_reg(frame, instr.rs)
-                return None
-            elif isinstance(instr, AllocH):
-                words = int(self._read_reg(frame, instr.r_words))
-                if words < 0:
-                    self._fault(f"negative allocation: {instr}")
-                base = self._heap_top
-                self._heap_top += max(1, words)
-                frame.regs[instr.rd] = base
-                frame.ready[instr.rd] = start + w
-            elif isinstance(instr, PrintR):
-                self.output.append(format_value(self._read_reg(frame, instr.rs)))
-            else:
-                self._fault(f"unknown instruction {instr!r}")
-
+            next_pc = handler(regs, ready, start, frame)
             if hp is not None:
                 t_now = hp.now()
-                hp.add(
-                    hp.op_key(instr.__class__),
-                    t_now - t_mark - hp.take_sub(),
-                )
+                hp.add(hp.op_key(instrs[pc].__class__),
+                       t_now - t_mark - hp.take_sub())
                 t_mark = t_now
+            if next_pc < 0:
+                return frame.result
+            pc = next_pc
 
-    # -- memory ops -----------------------------------------------------------
+    # -- decoding ---------------------------------------------------------------
 
-    def _addr(self, frame: _Frame, reg: int) -> int:
-        value = self._read_reg(frame, reg)
-        if isinstance(value, float):
-            self._fault(f"float used as address in {frame.mf.name}")
-        if value <= 0:
-            self._fault(f"invalid address {value} in {frame.mf.name}")
-        return int(value)
+    def _decode(self, mf: MFunction) -> _Code:
+        """Decode ``mf`` into ops; labels become op indices."""
+        self._bind_components()
+        instrs: list = []
+        labels: dict[str, int] = {}
+        for instr in mf.instrs:
+            if isinstance(instr, Label):
+                labels[instr.name] = len(instrs)
+            else:
+                instrs.append(instr)
+        nregs = 1 + max(
+            [r for i in instrs for r in (*i.reads(), *i.writes())
+             if r is not None], default=-1,
+        )
+        slots: list[Value] = [0] * nregs
 
-    def _do_load(self, frame: _Frame, instr: Ld, start: int) -> None:
-        counters = self.counters
-        if instr.kind is LoadKind.SPEC_ADVANCED:
-            # ld.sa never faults: a bad address defers (NaT -> dummy 0).
-            raw = self._read_reg(frame, instr.ra)
-            if isinstance(raw, float) or raw <= 0:
-                frame.regs[instr.rd] = 0.0 if instr.is_float else 0
-                frame.ready[instr.rd] = start + self._w
-                # no ALAT entry: subsequent checks will reload
-                return
-            addr = int(raw)
-        else:
-            addr = self._addr(frame, instr.ra)
-        frame.regs[instr.rd] = self._load_value(addr)
-        hp = self.host
-        if hp is None:
-            latency = self.cache.load_latency(addr, instr.is_float)
-        else:
-            _tc = hp.now()
-            latency = self.cache.load_latency(addr, instr.is_float)
-            hp.add_sub("sim.cache", hp.now() - _tc)
-        frame.ready[instr.rd] = start + self._w * latency
+        def const(value: Value) -> int:
+            slots.append(value)
+            return len(slots) - 1
+
+        ops = []
+        for pc, instr in enumerate(instrs):
+            decoder = _DECODERS.get(type(instr))
+            if decoder is None:
+                raise MachineError(f"unknown instruction {instr!r}")
+            handler = decoder(self, mf, instr, pc + 1, labels, const)
+            ops.append((handler, instr.reads()))
+        return _Code(mf.name, ops, instrs, slots, nregs)
+
+    def _bind_components(self) -> None:
+        """Bind the model entry points ops call (timed when profiling)."""
+        hp, alat, cache = self.host, self.alat, self.cache
+        bind = (lambda key, fn: fn) if hp is None else hp.timed
+        self._alat_allocate = bind("sim.alat", alat.allocate)
+        self._alat_check = bind("sim.alat", alat.check)
+        self._alat_snoop = bind("sim.alat", alat.snoop_store)
+        self._cache_load = bind("sim.cache", cache.load_latency)
+        self._cache_store = bind("sim.cache", cache.store_touch)
+
+    def _arm(self, tag: tuple, instr, addr: int) -> None:
+        """(Re-)allocate the ALAT entry ``tag`` for ``[addr]``."""
+        if self.profile is not None:
+            self.profile.bind_tag(tag, instr)
+        self._alat_allocate(tag, addr)
+
+
+# -- op decoders: ``_d_<op>(sim, mf, i, nxt, labels, const)`` returns the
+# handler ``(regs, ready, start, frame) -> next op index`` of instruction
+# ``i``; ``nxt`` is the fall-through index, ``labels`` maps names to op
+# indices and ``const(value)`` allocates a constant slot.
+
+
+def _d_mov(sim, mf, i, nxt, labels, const):
+    rd, lat = i.rd, sim._w
+    if isinstance(i, Lea) and i.region is not Region.GLOBAL:
+        offset = i.offset
+
+        def lea(regs, ready, start, frame):
+            regs[rd] = frame.base + offset
+            ready[rd] = start + lat
+            return nxt
+        return lea
+    # MovI and a global Lea copy from a constant slot
+    src = i.rs if isinstance(i, Mov) else const(
+        i.value if isinstance(i, MovI) else i.offset)
+
+    def mov(regs, ready, start, frame):
+        regs[rd] = regs[src]
+        ready[rd] = start + lat
+        return nxt
+    return mov
+
+
+def _d_alu(sim, mf, i, nxt, labels, const):
+    fn, rd, a = BINARY[i.op], i.rd, i.rs1
+    b = i.src2[1] if isinstance(i.src2, tuple) else const(i.src2)
+    # FP arithmetic has FMAC-like latency on Itanium.
+    lat = sim._w * (4 if i.is_float else 1)
+
+    def alu(regs, ready, start, frame):
+        try:
+            r = fn(regs[a], regs[b])
+        except InterpError as exc:
+            raise MachineError(str(exc)) from None
+        if not _INT_MIN <= r <= _INT_MAX and isinstance(r, int):
+            r = wrap_int(r)
+        regs[rd] = r
+        ready[rd] = start + lat
+        return nxt
+    return alu
+
+
+def _d_un(sim, mf, i, nxt, labels, const):
+    fn, rd, rs, lat = UNARY[i.op], i.rd, i.rs, sim._w
+
+    def un(regs, ready, start, frame):
+        r = fn(regs[rs])
+        regs[rd] = wrap_int(r) if isinstance(r, int) else r
+        ready[rd] = start + lat
+        return nxt
+    return un
+
+
+def _load_op(sim, mf, i, nxt):
+    """``rd = [ra]`` through the cache model: a plain ``ld``, and the
+    reload of every other load-like op."""
+    rd, ra, is_float, indirect, w = i.rd, i.ra, i.is_float, i.indirect, sim._w
+    mem, cache_load, counters, prof = sim.mem, sim._cache_load, sim.counters, sim.profile
+
+    def ld(regs, ready, start, frame):
+        addr = regs[ra]
+        if isinstance(addr, float) or addr <= 0:
+            _bad_address(addr, mf)
+        latency = cache_load(addr, is_float)
+        regs[rd] = mem.get(addr, 0)
+        ready[rd] = start + w * latency
         counters.retired_loads += 1
         counters.data_access_cycles += latency
-        if self.profile is not None:
-            self.profile.add_data(instr, latency)
-        if instr.indirect:
+        if indirect:
             counters.retired_indirect_loads += 1
-        else:
-            self.retired_direct_loads += 1
-        if instr.kind in (LoadKind.ADVANCED, LoadKind.SPEC_ADVANCED):
-            counters.retired_advanced_loads += 1
-            if self.profile is not None:
-                self.profile.bind_tag((frame.serial, instr.rd), instr)
-            if hp is None:
-                self.alat.allocate((frame.serial, instr.rd), addr)
-            else:
-                _ta = hp.now()
-                self.alat.allocate((frame.serial, instr.rd), addr)
-                hp.add_sub("sim.alat", hp.now() - _ta)
+        if prof is not None:
+            prof.add_data(i, latency)
+        return nxt
+    return ld
 
-    def _do_check_load(self, frame: _Frame, instr: LdC, start: int) -> None:
-        counters = self.counters
+
+def _d_ld(sim, mf, i, nxt, labels, const):
+    ld = _load_op(sim, mf, i, nxt)
+    if i.kind is LoadKind.NORMAL:
+        return ld
+    # ld.sa never faults: a bad address defers (NaT -> dummy 0)
+    deferred, zero = i.kind is LoadKind.SPEC_ADVANCED, 0.0 if i.is_float else 0
+
+    def ld_advanced(regs, ready, start, frame):
+        addr = regs[i.ra]
+        if deferred and (isinstance(addr, float) or addr <= 0):
+            regs[i.rd] = zero
+            ready[i.rd] = start + sim._w
+            return nxt  # no ALAT entry: subsequent checks will reload
+        ld(regs, ready, start, frame)
+        sim.counters.retired_advanced_loads += 1
+        sim._arm((frame.serial, i.rd), i, addr)
+        return nxt
+    return ld_advanced
+
+
+def _d_check(sim, mf, i, nxt, labels, const):
+    """``ld.c`` reloads on a miss; ``chk.a`` branches to recovery."""
+    rd, clear, check = i.rd, i.clear, sim._alat_check
+    counters, prof = sim.counters, sim.profile
+    miss = _ldc_miss(sim, mf, i, nxt) if isinstance(i, LdC) else _chka_miss(
+        sim, mf, i, labels)
+
+    def check_op(regs, ready, start, frame):
         counters.check_instructions += 1
-        tag = (frame.serial, instr.rd)
-        hp = self.host
-        if hp is None:
-            hit = self.alat.check(tag, instr.clear)
-        else:
-            _ta = hp.now()
-            hit = self.alat.check(tag, instr.clear)
-            hp.add_sub("sim.alat", hp.now() - _ta)
-        if self.profile is not None:
-            self.profile.check(tag, instr, hit)
+        tag = (frame.serial, rd)
+        hit = check(tag, clear)
+        if prof is not None:
+            prof.check(tag, i, hit)
         if hit:
             # Check succeeded: zero cost, register already holds the
             # value (the paper's "processed like no-ops").
-            return
+            return nxt
         counters.check_failures += 1
-        raw = self._read_reg(frame, instr.ra)
-        if isinstance(raw, float) or raw <= 0:
+        return miss(regs, ready, start, tag)
+    return check_op
+
+
+def _ldc_miss(sim, mf, i, nxt):
+    ld, zero = _load_op(sim, mf, i, nxt), 0.0 if i.is_float else 0
+
+    def reload(regs, ready, start, tag):
+        addr = regs[i.ra]
+        if isinstance(addr, float) or addr <= 0:
             # Check reached before any advanced load ran on this path:
             # the address register is dead; so is the result.
-            frame.regs[instr.rd] = 0.0 if instr.is_float else 0
-            return
-        addr = int(raw)
-        frame.regs[instr.rd] = self._load_value(addr)
-        if hp is None:
-            latency = self.cache.load_latency(addr, instr.is_float)
-        else:
-            _tc = hp.now()
-            latency = self.cache.load_latency(addr, instr.is_float)
-            hp.add_sub("sim.cache", hp.now() - _tc)
-        frame.ready[instr.rd] = start + self._w * latency
-        counters.retired_loads += 1
-        counters.data_access_cycles += latency
-        if self.profile is not None:
-            self.profile.add_data(instr, latency)
-        if instr.indirect:
-            counters.retired_indirect_loads += 1
-        else:
-            self.retired_direct_loads += 1
-        if not instr.clear:
-            if self.profile is not None:
-                self.profile.bind_tag(tag, instr)
-            if hp is None:
-                self.alat.allocate(tag, addr)
-            else:
-                _ta = hp.now()
-                self.alat.allocate(tag, addr)
-                hp.add_sub("sim.alat", hp.now() - _ta)
+            regs[i.rd] = zero
+            return nxt
+        ld(regs, ready, start, None)
+        if not i.clear:
+            sim._arm(tag, i, addr)
+        return nxt
+    return reload
 
-    # -- ALU semantics ----------------------------------------------------------
 
-    def _alu(self, frame: _Frame, instr: Alu) -> Value:
-        lhs = self._read_reg(frame, instr.rs1)
-        if isinstance(instr.src2, tuple):
-            rhs: Value = self._read_reg(frame, instr.src2[1])
-        else:
-            rhs = instr.src2
-        op = instr.op
-        if op is BinOpKind.ADD:
-            r: Value = lhs + rhs
-        elif op is BinOpKind.SUB:
-            r = lhs - rhs
-        elif op is BinOpKind.MUL:
-            r = lhs * rhs
-        elif op is BinOpKind.DIV:
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                if rhs == 0:
-                    self._fault("float division by zero")
-                r = lhs / rhs
-            else:
-                if rhs == 0:
-                    self._fault("integer division by zero")
-                r = int_div(lhs, rhs)
-        elif op is BinOpKind.MOD:
-            if rhs == 0:
-                self._fault("integer modulo by zero")
-            r = int_mod(int(lhs), int(rhs))
-        elif op is BinOpKind.EQ:
-            r = 1 if lhs == rhs else 0
-        elif op is BinOpKind.NE:
-            r = 1 if lhs != rhs else 0
-        elif op is BinOpKind.LT:
-            r = 1 if lhs < rhs else 0
-        elif op is BinOpKind.LE:
-            r = 1 if lhs <= rhs else 0
-        elif op is BinOpKind.GT:
-            r = 1 if lhs > rhs else 0
-        elif op is BinOpKind.GE:
-            r = 1 if lhs >= rhs else 0
-        else:
-            self._fault(f"unsupported ALU op {op}")
-        if isinstance(r, int):
-            r = wrap_int(r)
-        return r
+def _chka_miss(sim, mf, i, labels):
+    target, penalty = labels.get(i.recovery_label), sim.config.recovery_penalty
 
-    def _un(self, frame: _Frame, instr: Un) -> Value:
-        v = self._read_reg(frame, instr.rs)
-        if instr.op is UnOpKind.NEG:
-            return -v if isinstance(v, float) else wrap_int(-v)
-        if instr.op is UnOpKind.NOT:
-            return 0 if v else 1
-        if instr.op is UnOpKind.I2F:
-            return float(v)
-        if instr.op is UnOpKind.F2I:
-            return wrap_int(int(v))
-        self._fault(f"unsupported unary op {instr.op}")
-        raise AssertionError  # unreachable
+    def recover(regs, ready, start, tag):
+        sim.counters.recovery_cycles += penalty
+        sim.time += penalty * sim._w
+        if sim.profile is not None:
+            sim.profile.add_slots(i, penalty * sim._w)
+            sim.profile.recovery(tag, i, penalty)
+        if target is None:
+            _unknown_label(mf, i.recovery_label)
+        return target
+    return recover
+
+
+def _d_invala(sim, mf, i, nxt, labels, const):
+    def invala(regs, ready, start, frame):
+        sim.counters.explicit_invalidations += 1
+        sim.alat.invalidate_entry((frame.serial, i.rd))
+        return nxt
+    return invala
+
+
+def _d_st(sim, mf, i, nxt, labels, const):
+    ra, rs, mem, counters = i.ra, i.rs, sim.mem, sim.counters
+    snoop, store = sim._alat_snoop, sim._cache_store
+
+    def st(regs, ready, start, frame):
+        addr = regs[ra]
+        if isinstance(addr, float) or addr <= 0:
+            _bad_address(addr, mf)
+        mem[addr] = regs[rs]
+        snoop(addr)
+        store(addr)
+        counters.retired_stores += 1
+        return nxt
+    return st
+
+
+def _d_predld(sim, mf, i, nxt, labels, const):
+    ld = _load_op(sim, mf, i, nxt)
+
+    def predld(regs, ready, start, frame):
+        if regs[i.rp]:
+            ld(regs, ready, start, frame)
+            sim.counters.predicated_reloads += 1
+        return nxt
+    return predld
+
+
+def _d_branch(sim, mf, i, nxt, labels, const):
+    """``br`` is a ``brnz`` on a constant-1 slot."""
+    rs = i.rs if isinstance(i, Brnz) else const(1)
+    name, target = i.label, labels.get(i.label)
+    counters, prof = sim.counters, sim.profile
+    slots = sim.config.branch_penalty * sim._w
+
+    def branch(regs, ready, start, frame):
+        counters.branches += 1
+        if not regs[rs]:
+            return nxt
+        if target is None:
+            _unknown_label(mf, name)
+        sim.time += slots
+        if prof is not None:
+            prof.add_slots(i, slots)
+        return target
+    return branch
+
+
+def _d_call(sim, mf, i, nxt, labels, const):
+    callee, arg_regs, rd = i.callee, i.arg_regs, i.result_rd
+    call = sim._run_function if sim.host is None else sim.host.deferred(sim._run_function)
+
+    def callf(regs, ready, start, frame):
+        sim.counters.calls += 1
+        target = sim.program.function(callee)
+        sim.rse.call(target.nregs)
+        result = call(target, [regs[r] for r in arg_regs])
+        sim.rse.ret()
+        if rd is not None:
+            if result is None:
+                raise MachineError(f"void call used as value: {i}")
+            regs[rd] = result
+            ready[rd] = sim.time + sim._w
+        return nxt
+    return callf
+
+
+def _d_ret(sim, mf, i, nxt, labels, const):
+    rs = const(None) if i.rs is None else i.rs
+
+    def retf(regs, ready, start, frame):
+        frame.result = regs[rs]
+        return _RETURN
+    return retf
+
+
+def _d_alloc(sim, mf, i, nxt, labels, const):
+    def alloc(regs, ready, start, frame):
+        words = int(regs[i.r_words])
+        if words < 0:
+            raise MachineError(f"negative allocation: {i}")
+        regs[i.rd] = sim._heap_top
+        sim._heap_top += max(1, words)
+        ready[i.rd] = start + sim._w
+        return nxt
+    return alloc
+
+
+def _d_print(sim, mf, i, nxt, labels, const):
+    def printr(regs, ready, start, frame):
+        sim.output.append(format_value(regs[i.rs]))
+        return nxt
+    return printr
+
+
+_DECODERS = {
+    MovI: _d_mov, Mov: _d_mov, Lea: _d_mov, Alu: _d_alu, Un: _d_un,
+    Ld: _d_ld, LdC: _d_check, ChkA: _d_check, InvalaE: _d_invala,
+    St: _d_st, PredLd: _d_predld, Br: _d_branch, Brnz: _d_branch,
+    CallF: _d_call, RetF: _d_ret, AllocH: _d_alloc, PrintR: _d_print,
+}
 
 
 def run_machine(

@@ -92,6 +92,32 @@ class HostProfiler:
         self._sub = 0
         return s
 
+    def timed(self, key: str, fn):
+        """``fn`` with each call's time recorded via :meth:`add_sub`."""
+        now, add_sub = self.now, self.add_sub
+
+        def timed(*args):
+            t0 = now()
+            result = fn(*args)
+            add_sub(key, now() - t0)
+            return result
+
+        return timed
+
+    def deferred(self, fn):
+        """``fn`` — a call whose body buckets its own time, such as a
+        recursive dispatch loop — with each call's whole time
+        :meth:`defer`-red out of the enclosing segment."""
+
+        def deferred(*args):
+            t0 = self.now()
+            result = fn(*args)
+            self.take_sub()
+            self.defer(self.now() - t0)
+            return result
+
+        return deferred
+
     # -- aggregation -----------------------------------------------------
 
     @property

@@ -22,8 +22,19 @@ from repro.ir.expr import (
     UnOpKind,
 )
 from repro.ir.function import Function
-from repro.ir.interp import int_div, int_mod, wrap_int
-from repro.ir.stmt import Stmt
+from repro.ir.semantics import BINARY, UNARY, wrap_int
+from repro.ir.stmt import (
+    Alloc,
+    Assign,
+    Call,
+    CondBranch,
+    ConditionalReload,
+    EvalStmt,
+    Print,
+    Return,
+    Stmt,
+    Store,
+)
 from repro.ir.types import BoolType, IntType, PointerType
 
 
@@ -48,39 +59,10 @@ def _fold_binop(expr: BinOp) -> Optional[Expr]:
     rhs = _const_value(expr.right)
     op = expr.op
 
-    if lhs is not None and rhs is not None:
+    # ``&&``/``||`` stay unfolded, which keeps the compiled code unchanged
+    if lhs is not None and rhs is not None and not op.is_logical:
         try:
-            if op is BinOpKind.ADD:
-                result: Union[int, float] = lhs + rhs
-            elif op is BinOpKind.SUB:
-                result = lhs - rhs
-            elif op is BinOpKind.MUL:
-                result = lhs * rhs
-            elif op is BinOpKind.DIV:
-                if isinstance(lhs, float) or isinstance(rhs, float):
-                    if rhs == 0:
-                        return None  # preserve the runtime fault
-                    result = lhs / rhs
-                else:
-                    result = int_div(lhs, rhs)
-            elif op is BinOpKind.MOD:
-                if isinstance(lhs, float) or isinstance(rhs, float):
-                    return None
-                result = int_mod(int(lhs), int(rhs))
-            elif op is BinOpKind.EQ:
-                result = 1 if lhs == rhs else 0
-            elif op is BinOpKind.NE:
-                result = 1 if lhs != rhs else 0
-            elif op is BinOpKind.LT:
-                result = 1 if lhs < rhs else 0
-            elif op is BinOpKind.LE:
-                result = 1 if lhs <= rhs else 0
-            elif op is BinOpKind.GT:
-                result = 1 if lhs > rhs else 0
-            elif op is BinOpKind.GE:
-                result = 1 if lhs >= rhs else 0
-            else:
-                return None
+            result = BINARY[op](lhs, rhs)
         except InterpError:
             return None  # division by zero etc.: keep the fault at runtime
         if isinstance(result, int) and not expr.type.is_float:
@@ -137,15 +119,7 @@ def _fold_unop(expr: UnOp) -> Optional[Expr]:
         if expr.op is UnOpKind.NEG and isinstance(expr.operand, UnOp) and expr.operand.op is UnOpKind.NEG:
             return expr.operand.operand
         return None
-    if expr.op is UnOpKind.NEG:
-        return _make_const(-value, expr)
-    if expr.op is UnOpKind.NOT:
-        return _make_const(0 if value else 1, expr)
-    if expr.op is UnOpKind.I2F:
-        return ConstFloat(float(value))
-    if expr.op is UnOpKind.F2I:
-        return _make_const(wrap_int(int(value)), expr)
-    return None
+    return _make_const(UNARY[expr.op](value), expr)
 
 
 def fold_expr(expr: Expr) -> Expr:
@@ -166,21 +140,6 @@ def fold_expr(expr: Expr) -> Expr:
 
 
 def fold_constants_in_stmt(stmt: Stmt) -> None:
-
-    # Rewrite each top-level expression slot via the shared slot writer:
-    # build an identity mapping trick is overkill — fold slots directly.
-    from repro.ir.stmt import (
-        Alloc,
-        Assign,
-        Call,
-        CondBranch,
-        ConditionalReload,
-        EvalStmt,
-        Print,
-        Return,
-        Store,
-    )
-
     if isinstance(stmt, Assign):
         stmt.expr = fold_expr(stmt.expr)
     elif isinstance(stmt, Store):

@@ -41,8 +41,9 @@ from repro.ir.expr import (
     VarRead,
 )
 from repro.ir.function import Function
-from repro.ir.interp import GLOBAL_BASE, wrap_int
+from repro.ir.interp import GLOBAL_BASE
 from repro.ir.module import Module
+from repro.ir.semantics import wrap_int
 from repro.ir.stmt import (
     Alloc,
     Assign,

@@ -4,7 +4,8 @@ semantics precisely (wrapping, truncating division, zero init, heap)."""
 import pytest
 
 from repro.errors import InterpError, InterpLimitExceeded
-from repro.ir.interp import int_div, int_mod, run_module, wrap_int, format_value
+from repro.ir.interp import format_value, run_module
+from repro.ir.semantics import int_div, int_mod, wrap_int
 from repro.minic import compile_to_ir
 
 

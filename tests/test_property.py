@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import compute_dominators
 from repro.ir.builder import ModuleBuilder
 from repro.ir.expr import BinOpKind, ConstInt
-from repro.ir.interp import int_div, int_mod, wrap_int
+from repro.ir.semantics import int_div, int_mod, wrap_int
 from repro.ir.stmt import Return
 from repro.ir.types import INT
 from repro.machine.alat import ALAT, ALATConfig

@@ -6,7 +6,7 @@ on."""
 
 import pytest
 
-from repro.errors import MachineError
+from repro.errors import MachineError, MachineLimitExceeded
 from repro.ir.expr import BinOpKind, UnOpKind
 from repro.machine.cpu import MachineConfig, Simulator
 from repro.target.isa import (
@@ -334,3 +334,74 @@ def test_issue_width_scales_cycles():
     wide = Simulator(make_program(instrs), MachineConfig(issue_width=4)).run([])
     narrow = Simulator(make_program(instrs), MachineConfig(issue_width=1)).run([])
     assert narrow.counters.cpu_cycles > wide.counters.cpu_cycles
+
+
+# -- decoded-loop edge cases ---------------------------------------------------
+
+
+def test_falling_off_the_end_faults_before_counting():
+    sim = Simulator(make_program([MovI(0, 1), Label(".end")]))
+    with pytest.raises(MachineError, match="main: fell off the end"):
+        sim.run([])
+    assert sim.counters.instructions == 1
+
+
+def test_unknown_label_faults_only_when_taken():
+    def branch_on(flag):
+        return [MovI(0, flag), Brnz(0, ".nowhere"), RetF(0)]
+
+    _sim, res = run(branch_on(0))
+    assert res.counters.branches == 1
+    with pytest.raises(MachineError, match="main: unknown label '.nowhere'"):
+        run(branch_on(1))
+    with pytest.raises(MachineError, match="unknown label '.gone'"):
+        run([Br(".gone")])
+
+
+def test_instruction_limit_is_exact():
+    # labels retire for free, so this body is exactly three instructions
+    body = [Label(".a"), MovI(0, 7), Label(".b"), MovI(1, 1), RetF(0)]
+    _sim, res = run(body, config=MachineConfig(max_instructions=3))
+    assert (res.exit_value, res.counters.instructions) == (7, 3)
+    sim = Simulator(make_program(body), MachineConfig(max_instructions=2))
+    with pytest.raises(MachineLimitExceeded, match="exceeded 2 instructions"):
+        sim.run([])
+    assert sim.counters.instructions == 3
+
+
+def test_void_call_used_as_value_faults():
+    program = make_program([CallF("nothing", [], 1), RetF(1)])
+    callee = MFunction("nothing", 0)
+    callee.emit(RetF())
+    program.add(callee)
+    with pytest.raises(MachineError, match="void call used as value"):
+        Simulator(program).run([])
+
+
+def test_negative_allocation_faults():
+    with pytest.raises(MachineError, match="negative allocation"):
+        run([MovI(0, -1), AllocH(1, 0), RetF(1)])
+
+
+def test_float_and_non_positive_addresses_fault():
+    with pytest.raises(MachineError, match="float used as address in main"):
+        run([MovI(0, 4096.0), Ld(1, 0), RetF(1)])
+    with pytest.raises(MachineError, match="float used as address in main"):
+        run([MovI(0, 4096.0), St(0, 0), RetF(0)])
+    with pytest.raises(MachineError, match="invalid address -8 in main"):
+        run([MovI(0, -8), St(0, 0), RetF(0)])
+
+
+def test_register_read_before_any_write_is_zero():
+    # r5 is never written: it reads as 0 and never stalls the scoreboard
+    _sim, res = run([Alu(BinOpKind.ADD, 1, 5, 3), Brnz(5, ".x"), RetF(1)])
+    assert (res.exit_value, res.counters.branches) == (3, 1)
+
+
+def test_registers_at_or_above_nregs():
+    # the register file is sized from the operands, not from nregs
+    _sim, res = run(
+        [MovI(40, 5), Alu(BinOpKind.MUL, 41, 40, ("r", 40)), RetF(41)],
+        nregs=2,
+    )
+    assert res.exit_value == 25
