@@ -12,13 +12,10 @@ the ``host`` section with wall-clock and steps/sec).  Set
 ``REPRO_BENCH_TRACE=1`` to additionally stream every benchmark run's
 structured event trace to ``results/traces/<bench>.<mode>.jsonl``.
 
-Regression gate: set ``REPRO_BENCH_HISTORY=1`` to append each run's
-tracked counters *and host metrics* to
-``benchmarks/history/<bench>.jsonl`` and flag regressions — counters
-against the previous record, host wall-clock/throughput against the
-median of the last ≤3 (or point it at an alternate history directory).
-The report is echoed at session end; flags never fail the figure tests
-themselves — CI gates separately via ``python -m repro.obs.regress``.
+Regression gate: the figure tests never gate.  Gate the session's
+``results/metrics.json`` against the committed history with
+``python -m repro.obs.regress --metrics benchmarks/results/metrics.json
+--history benchmarks/history``.
 
 Results store: set ``REPRO_BENCH_STORE=1`` (or a directory path) to
 ingest every measurement into the experiment results store
@@ -37,11 +34,9 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-HISTORY_DIR = pathlib.Path(__file__).parent / "history"
 STORE_DIR = pathlib.Path(__file__).parent / "store"
 
 _tables: dict[str, str] = {}
-_gate_report = None
 _store = None
 _store_batch = None
 
@@ -130,22 +125,17 @@ def publish_table(name: str, table: str) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _tables and _gate_report is None:
+    if not _tables:
         return
     tw = getattr(session.config, "get_terminal_writer", lambda: None)()
     emit = tw.line if tw is not None else print
-    if _tables:
+    emit("")
+    emit("=" * 78)
+    emit("Reproduced evaluation figures (also in benchmarks/results/)")
+    emit("=" * 78)
+    for name in sorted(_tables):
         emit("")
-        emit("=" * 78)
-        emit("Reproduced evaluation figures (also in benchmarks/results/)")
-        emit("=" * 78)
-        for name in sorted(_tables):
-            emit("")
-            for line in _tables[name].splitlines():
-                emit(line)
-    if _gate_report is not None:
-        emit("")
-        for line in _gate_report.format().splitlines():
+        for line in _tables[name].splitlines():
             emit(line)
 
 
@@ -181,14 +171,6 @@ def all_results():
     (RESULTS_DIR / "metrics.json").write_text(
         json.dumps(metrics, indent=2) + "\n"
     )
-
-    history = os.environ.get("REPRO_BENCH_HISTORY")
-    if history:
-        from repro.workloads import gate_results
-
-        history_dir = str(HISTORY_DIR) if history == "1" else history
-        global _gate_report
-        _gate_report = gate_results(results, history_dir)
 
     store = bench_store()
     if store is not None:

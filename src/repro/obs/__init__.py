@@ -12,8 +12,11 @@ The subsystem has three layers:
   :class:`ProfileReport`);
 * :mod:`repro.obs.diff` — baseline-vs-speculative run comparison
   (Figure 8 shape);
-* :mod:`repro.obs.regress` — benchmark history (JSONL) + regression
-  gate, also a CLI (``python -m repro.obs.regress``);
+* :mod:`repro.obs.regress` — the regression gate over the committed
+  per-benchmark JSONL history (``benchmarks/history/``), also a CLI
+  (``python -m repro.obs.regress``);
+* :mod:`repro.obs.store` — the results store for cross-run queries,
+  the dashboard and figure-table regeneration (not a gate baseline);
 * :mod:`repro.obs.telemetry` — host-side telemetry: the hot-loop
   :class:`HostProfiler` and the Chrome-trace / flamegraph exporters
   over the span tree :class:`TraceContext` records.

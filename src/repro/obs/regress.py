@@ -1,7 +1,7 @@
 """Benchmark history + regression gate.
 
-Every gated run appends one record per benchmark to the history backend
-and compares the fresh numbers against the recorded baseline.  A
+Every gated run appends one record per benchmark to the history and
+compares the fresh numbers against the recorded baseline.  A
 counter that moved past its threshold raises a flag; cycle-count
 regressions are *failures* (CI gates on them), everything else is a
 warning.
@@ -17,20 +17,16 @@ DESIGN §13/§14):
   and a median over a short window keeps one slow CI neighbour from
   poisoning the baseline.
 
-**History backends.**  The classic backend is per-bench JSONL under
-``benchmarks/history/`` (:class:`JsonlHistory`).  The results store
-(``repro.obs.store``) can serve the same role through
-:class:`StoreHistory`, which rebuilds the per-bench record sequence
-from stored run records — gating decisions and exit codes are identical
-for identical record sequences (``python -m repro.obs.store
-import-history`` migrates old JSONL history in).
+**History.**  One ``<bench>.jsonl`` per benchmark under
+``benchmarks/history/``, one record per gated sweep.  The committed
+files are the baseline CI gates against.
 
-**Retention.**  Both backends grow by one record per gated sweep and
-are never rewritten by the gate itself; ``--prune N`` (or
-``backend.prune(N)``) keeps the newest N records per benchmark —
-anything older than the largest baseline window plus audit margin is
-dead weight.  The recommended policy is ``N >= 10`` (CI uses the
-default of keeping everything; prune in a scheduled job, not per run).
+**Retention.**  The history grows by one record per gated sweep and is
+never rewritten by the gate itself; ``--prune N`` (or
+:func:`prune`) keeps the newest N records per benchmark — anything
+older than the largest baseline window plus audit margin is dead
+weight.  The recommended policy is ``N >= 10`` (CI uses the default of
+keeping everything; prune in a scheduled job, not per run).
 
 A benchmark with no history yet cannot be gated.  The CLI treats that
 as an error (exit :data:`EXIT_NO_HISTORY`) so a misconfigured history
@@ -41,9 +37,8 @@ Also usable as a CLI against the benchmark harness's ``metrics.json``::
 
     python -m repro.obs.regress \
         --metrics benchmarks/results/metrics.json \
-        --history benchmarks/history [--store benchmarks/store] \
-        [--threshold 0.10] [--no-update] [--warn-only] [--allow-seed] \
-        [--prune N]
+        --history benchmarks/history [--threshold 0.10] [--no-update] \
+        [--warn-only] [--allow-seed] [--prune N]
 """
 
 from __future__ import annotations
@@ -151,89 +146,32 @@ def append_record(history_dir: str, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-# -- history backends ---------------------------------------------------
-
-
-class JsonlHistory:
-    """The classic backend: one ``<bench>.jsonl`` per benchmark."""
-
-    def __init__(self, history_dir: str) -> None:
-        self.history_dir = history_dir
-
-    def load(self, bench: str) -> list[dict]:
-        return load_history(self.history_dir, bench)
-
-    def append(self, record: dict) -> None:
-        append_record(self.history_dir, record)
-
-    def prune(self, keep: int) -> dict[str, int]:
-        """Keep the newest ``keep`` records per benchmark; returns
-        ``{bench: removed}``.  Files are rewritten via a temp file +
-        atomic rename so a crash mid-prune cannot lose history."""
-        if keep < 1:
-            raise ValueError(f"prune keep must be >= 1, got {keep}")
-        removed: dict[str, int] = {}
-        if not os.path.isdir(self.history_dir):
-            return removed
-        for name in sorted(os.listdir(self.history_dir)):
-            if not name.endswith(".jsonl"):
-                continue
-            bench = name[: -len(".jsonl")]
-            history = self.load(bench)
-            if len(history) <= keep:
-                continue
-            path = history_path(self.history_dir, bench)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for record in history[-keep:]:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            removed[bench] = len(history) - keep
+def prune(history_dir: str, keep: int) -> dict[str, int]:
+    """Keep the newest ``keep`` records per benchmark; returns
+    ``{bench: removed}``.  Files are rewritten via a temp file + atomic
+    rename so a crash mid-prune cannot lose history."""
+    if keep < 1:
+        raise ValueError(f"prune keep must be >= 1, got {keep}")
+    removed: dict[str, int] = {}
+    if not os.path.isdir(history_dir):
         return removed
-
-
-class StoreHistory:
-    """History served by the results store (``repro.obs.store``).
-
-    Run records grouped by their ``batch`` id reconstruct exactly the
-    per-sweep record sequence the JSONL backend would hold, so the gate
-    produces identical flags and exit codes over identical data.
-    Appends write per-mode run records (suite ``history``) back into
-    the store.
-    """
-
-    def __init__(self, store) -> None:
-        # ``store`` is a ResultsStore or a path; resolved lazily so the
-        # regress module stays importable without the store package.
-        from repro.obs.store import ResultsStore
-
-        self.store = (
-            store if isinstance(store, ResultsStore) else ResultsStore(store)
-        )
-
-    def load(self, bench: str) -> list[dict]:
-        from repro.obs.store.history import store_history
-
-        return store_history(self.store, bench)
-
-    def append(self, record: dict) -> None:
-        from repro.obs.store.history import append_history_record
-
-        append_history_record(self.store, record)
-
-    def prune(self, keep: int) -> dict[str, int]:
-        report = self.store.prune(keep, kinds={"run"})
-        return {
-            "/".join(group): n for group, n in report.by_group.items()
-        }
-
-
-def _as_backend(history):
-    """``str`` paths mean the classic JSONL backend (the historical
-    call signature); anything else must already be a backend."""
-    return JsonlHistory(history) if isinstance(history, str) else history
+    for name in sorted(os.listdir(history_dir)):
+        if not name.endswith(".jsonl"):
+            continue
+        bench = name[: -len(".jsonl")]
+        history = load_history(history_dir, bench)
+        if len(history) <= keep:
+            continue
+        path = history_path(history_dir, bench)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in history[-keep:]:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        removed[bench] = len(history) - keep
+    return removed
 
 
 def make_record(
@@ -353,7 +291,7 @@ class GateReport:
 
 
 def gate_records(
-    history,
+    history_dir: str,
     records: dict[str, dict],
     threshold: float = DEFAULT_THRESHOLD,
     update: bool = True,
@@ -361,9 +299,7 @@ def gate_records(
 ) -> GateReport:
     """Gate a set of fresh per-benchmark records against history.
 
-    ``history`` is a directory path (classic JSONL backend) or a
-    backend object (:class:`JsonlHistory` / :class:`StoreHistory`).
-    Benchmarks with history are compared — counters against the latest
+    Benchmarks with history in ``history_dir`` are compared — counters against the latest
     record (window of :data:`COUNTER_BASELINE_WINDOW` = 1, exact
     because simulated), host metrics against the median of the last
     ≤:data:`HOST_BASELINE_WINDOW` records (noisy) — and then the fresh
@@ -372,36 +308,34 @@ def gate_records(
     recorded as the initial history, without it they are only reported
     in ``seeded`` so the caller can refuse to gate them.
     """
-    backend = _as_backend(history)
     flags: list[Flag] = []
     seeded: list[str] = []
     checked: list[str] = []
     for bench, record in sorted(records.items()):
-        history_records = backend.load(bench)
-        if not history_records:
+        history = load_history(history_dir, bench)
+        if not history:
             seeded.append(bench)
             if update and seed:
-                backend.append(record)
+                append_record(history_dir, record)
         else:
             checked.append(bench)
-            baseline = history_records[-COUNTER_BASELINE_WINDOW]
+            baseline = history[-COUNTER_BASELINE_WINDOW]
             flags.extend(compare_records(baseline, record, threshold))
-            flags.extend(compare_host_metrics(history_records, record))
+            flags.extend(compare_host_metrics(history, record))
             if update:
-                backend.append(record)
+                append_record(history_dir, record)
     return GateReport(flags, seeded, checked)
 
 
 def gate_metrics(
-    history,
+    history_dir: str,
     metrics: dict,
     threshold: float = DEFAULT_THRESHOLD,
     update: bool = True,
     seed: bool = True,
 ) -> GateReport:
     """Gate the benchmark harness's ``metrics.json`` shape:
-    ``{bench: {mode: {"counters": {...}, "host": {...}, ...}}}``.
-    ``history`` is a directory path or a history backend."""
+    ``{bench: {mode: {"counters": {...}, "host": {...}, ...}}}``."""
     records = {
         bench: make_record(
             bench,
@@ -416,7 +350,7 @@ def gate_metrics(
         )
         for bench, per_mode in metrics.items()
     }
-    return gate_records(history, records, threshold, update, seed)
+    return gate_records(history_dir, records, threshold, update, seed)
 
 
 # -- CLI ----------------------------------------------------------------
@@ -436,16 +370,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--history",
-        help="history directory (benchmarks/history); the classic "
-        "JSONL backend",
-    )
-    parser.add_argument(
-        "--store",
-        help="results-store directory (benchmarks/store); gate through "
-        "the store instead of per-bench JSONL history.  Identical "
-        "gating: same flags and exit codes over the same record "
-        "sequence (migrate old history in with "
-        "`python -m repro.obs.store import-history`).",
+        required=True,
+        help="history directory (benchmarks/history)",
     )
     parser.add_argument(
         "--threshold",
@@ -478,23 +404,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         "benchmark (retention; see module docstring)",
     )
     args = parser.parse_args(argv)
-    if not args.history and not args.store:
-        parser.error("one of --history or --store is required")
-    if args.history and args.store:
-        parser.error("--history and --store are mutually exclusive")
-    backend = (
-        StoreHistory(args.store) if args.store else JsonlHistory(args.history)
-    )
 
     with open(args.metrics, "r", encoding="utf-8") as fh:
         metrics = json.load(fh)
     report = gate_metrics(
-        backend, metrics, threshold=args.threshold,
+        args.history, metrics, threshold=args.threshold,
         update=not args.no_update, seed=args.allow_seed,
     )
     print(report.format())
     if args.prune:
-        removed = backend.prune(args.prune)
+        removed = prune(args.history, args.prune)
         total = sum(removed.values())
         print(
             f"prune: removed {total} record(s) beyond the newest "
@@ -511,10 +430,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             "error: no benchmark history for: "
             + ", ".join(report.seeded)
             + "\n  nothing to gate against in "
-            f"'{args.store or args.history}' — if this is a deliberate "
+            f"'{args.history}' — if this is a deliberate "
             "first run, pass --allow-seed to record the baseline; "
-            f"otherwise check the {'--store' if args.store else '--history'} "
-            "path.",
+            "otherwise check the --history path.",
             file=sys.stderr,
         )
         return EXIT_NO_HISTORY

@@ -8,10 +8,11 @@ Layers (each its own module):
   :func:`compare` over stored records;
 * :mod:`repro.obs.store.render` — ASCII renderings for the CLI;
 * :mod:`repro.obs.store.html` — the self-contained analytics dashboard;
-* :mod:`repro.obs.store.history` — bridge to the regression gate's
-  per-bench JSONL history;
 * also a CLI: ``python -m repro.obs.store {list,show,compare,series,
-  prune,dashboard,tables,ingest,import-history}``.
+  prune,dashboard,tables,ingest}``.
+
+The store is gitignored, so it never holds the regression baseline:
+the gate reads the committed JSONL history (:mod:`repro.obs.regress`).
 """
 
 from repro.obs.store.core import (

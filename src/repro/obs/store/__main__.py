@@ -14,7 +14,6 @@
     python -m repro.obs.store tables  [--out benchmarks/results] [--check]
     python -m repro.obs.store ingest  --metrics FILE --bench B --mode M
                                       [--suite S] [--kind K]
-    python -m repro.obs.store import-history --history benchmarks/history
 
 Every subcommand takes ``--store`` (default ``benchmarks/store``).
 ASCII output by default; ``--json`` emits the same data as JSON for
@@ -29,7 +28,6 @@ import sys
 from typing import Optional
 
 from repro.obs.store.core import ResultsStore, StoreError, make_record
-from repro.obs.store.history import import_history
 from repro.obs.store.html import write_dashboard
 from repro.obs.store.query import (
     compare,
@@ -174,12 +172,6 @@ def _cmd_ingest(store: ResultsStore, args) -> int:
     return 0
 
 
-def _cmd_import_history(store: ResultsStore, args) -> int:
-    count = import_history(store, args.history)
-    print(f"imported {count} run record(s) from {args.history}")
-    return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.store",
@@ -284,16 +276,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--suite", default="cli")
     p.add_argument("--kind", default="run")
     p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser(
-        "import-history",
-        help="migrate regression-gate JSONL history into the store",
-    )
-    p.add_argument(
-        "--history", default="benchmarks/history",
-        help="history directory (default benchmarks/history)",
-    )
-    p.set_defaults(func=_cmd_import_history)
 
     args = parser.parse_args(argv)
     store = ResultsStore(args.store)

@@ -13,7 +13,7 @@ Entry points:
 * :class:`JobPool` / :class:`JobSpec` — the programmatic API;
 * :func:`repro.service.matrix.run_matrix` — the workload matrix as a
   service client (``python -m repro.workloads --jobs N``);
-* ``python -m repro.service`` — batch CLI and long-lived serve mode;
+* ``python -m repro.service`` — the batch CLI;
 * :mod:`repro.chaos.service` — the service-level fault campaign.
 """
 

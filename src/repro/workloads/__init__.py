@@ -20,7 +20,6 @@ from repro.workloads.runner import (
     ModeResult,
     WorkloadFailure,
     WorkloadMatrixError,
-    gate_results,
     ingest_results,
     run_benchmark,
     run_all_benchmarks,
@@ -47,7 +46,6 @@ __all__ = [
     "ModeResult",
     "WorkloadFailure",
     "WorkloadMatrixError",
-    "gate_results",
     "ingest_results",
     "run_benchmark",
     "run_all_benchmarks",

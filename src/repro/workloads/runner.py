@@ -262,10 +262,12 @@ def run_benchmark(
     profile-training run); default :data:`DEFAULT_INTERP_FUEL`.
     """
     fuel = fuel if fuel is not None else DEFAULT_INTERP_FUEL
-    key = (name, id(machine_config) if machine_config else None,
-           tuple(sorted(extra_modes)) if extra_modes else None,
-           trace_dir, profile_sites,
-           spec_options.describe() if spec_options else None, fuel)
+    # Keyed on values, not identities or summaries: a mutated config
+    # object, or options differing in a field ``describe()`` omits, must
+    # not be served an earlier result.
+    key = (name, repr(machine_config),
+           repr(sorted(extra_modes.items())) if extra_modes else None,
+           trace_dir, profile_sites, repr(spec_options), fuel)
     if use_cache and key in _cache:
         return _cache[key]
 
@@ -354,46 +356,6 @@ def run_all_benchmarks(
     if failures is None and collected:
         raise WorkloadMatrixError(collected, results)
     return results
-
-
-def gate_results(
-    results: dict[str, BenchmarkResult],
-    history_dir: str,
-    threshold: Optional[float] = None,
-    update: bool = True,
-):
-    """Append fresh measurements to ``{history_dir}/{bench}.jsonl`` and
-    flag regressions: simulated counters against the latest recorded
-    run, host wall-clock/throughput against the median of the last ≤3
-    (loose warn-then-fail bands — see ``repro.obs.regress``).
-
-    Returns the :class:`repro.obs.GateReport`; ``report.failed`` means a
-    gating metric (cpu cycles, or host time past the fail band)
-    regressed past its threshold.  First runs seed the history without
-    flagging.
-    """
-    from repro.obs.regress import DEFAULT_THRESHOLD, gate_records, make_record
-
-    records = {
-        name: make_record(
-            name,
-            {
-                mode.label: mode.counters.as_dict()
-                for mode in (result.baseline, result.speculative)
-            },
-            {
-                mode.label: mode.host_metrics
-                for mode in (result.baseline, result.speculative)
-            },
-        )
-        for name, result in results.items()
-    }
-    return gate_records(
-        history_dir,
-        records,
-        threshold=threshold if threshold is not None else DEFAULT_THRESHOLD,
-        update=update,
-    )
 
 
 # -- results-store ingestion --------------------------------------------

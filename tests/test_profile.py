@@ -8,6 +8,7 @@ a diff matches the counter delta to within rounding.
 
 import io
 import json
+import os
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.obs.regress import (
     load_history,
     main as regress_main,
     make_record,
+    prune,
 )
 from repro.pipeline import CompilerOptions, OptLevel, SpecMode, compile_source
 from repro.target.isa import ChkA, LdC
@@ -351,6 +353,43 @@ def test_gate_cli_allow_seed_records_baseline(tmp_path):
     rc = regress_main(["--metrics", str(mpath), "--history", hist])
     assert rc == 0
     assert len(load_history(hist, "gzip")) == 2
+
+
+def test_gate_cli_prune_keeps_newest_record_per_bench(tmp_path, capsys):
+    metrics = {
+        "gzip": {"speculative": {"counters": _counters()}},
+        "vpr": {"speculative": {"counters": _counters(cycles=800)}},
+    }
+    mpath = tmp_path / "metrics.json"
+    hist = str(tmp_path / "history")
+    for cycles in (1000, 1010, 1020):
+        metrics["gzip"]["speculative"]["counters"]["cpu_cycles"] = cycles
+        mpath.write_text(json.dumps(metrics))
+        assert regress_main(
+            ["--metrics", str(mpath), "--history", hist, "--allow-seed"]
+        ) == 0
+    assert len(load_history(hist, "gzip")) == 3
+    capsys.readouterr()
+
+    rc = regress_main(
+        ["--metrics", str(mpath), "--history", hist, "--no-update",
+         "--prune", "1"]
+    )
+    assert rc == 0
+    assert "prune: removed 4 record(s)" in capsys.readouterr().out
+    for bench in ("gzip", "vpr"):
+        assert len(load_history(hist, bench)) == 1
+    newest = latest_record(hist, "gzip")["modes"]["speculative"]
+    assert newest["cpu_cycles"] == 1020
+    assert not [n for n in os.listdir(hist) if n.endswith(".tmp")]
+
+
+def test_prune_rejects_keep_zero(tmp_path):
+    hist = str(tmp_path / "history")
+    gate_records(hist, {"b": make_record("b", {"speculative": _counters()})})
+    with pytest.raises(ValueError):
+        prune(hist, 0)
+    assert len(load_history(hist, "b")) == 1
 
 
 # -- JsonlSink exception safety -----------------------------------------

@@ -1,5 +1,5 @@
 """The experiment results store: records, durability, queries,
-comparison, history bridging, regress parity, CLI, and the dashboard.
+comparison, CLI, and the dashboard.
 
 The store is the PR's durability-critical subsystem, so the torn-line
 tests exercise the exact crash shapes the design defends against: a
@@ -14,14 +14,6 @@ import os
 
 import pytest
 
-from repro.obs.regress import (
-    EXIT_NO_HISTORY,
-    JsonlHistory,
-    StoreHistory,
-    gate_records,
-)
-from repro.obs.regress import main as regress_main
-from repro.obs.regress import make_record as make_history_record
 from repro.obs.store import (
     PIPELINE_VERSION,
     ResultsStore,
@@ -32,11 +24,6 @@ from repro.obs.store import (
     render_dashboard,
 )
 from repro.obs.store.__main__ import main as store_main
-from repro.obs.store.history import (
-    append_history_record,
-    import_history,
-    store_history,
-)
 from repro.obs.store.query import (
     compare_records,
     get_metric,
@@ -285,91 +272,6 @@ def test_delta_pct_guards_zero_baseline():
     from repro.obs.store.query import Delta
 
     assert Delta("x", 0, 5).pct is None
-
-
-# -- history bridge + regress parity -------------------------------------
-
-
-def _history_rec(bench: str, cycles: int, ts: float, wall: float = 100.0):
-    rec = make_history_record(
-        bench,
-        {"speculative": {"cpu_cycles": cycles, "retired_loads": 50}},
-        {"speculative": {"wall_ms": wall, "sim_steps_per_sec": 5e5}},
-    )
-    rec["timestamp"] = ts
-    return rec
-
-
-def test_history_round_trip(tmp_path):
-    store = ResultsStore(tmp_path)
-    original = _history_rec("gzip", 1000, ts=10.0)
-    append_history_record(store, original)
-    (rebuilt,) = store_history(store, "gzip")
-    assert rebuilt["bench"] == "gzip"
-    assert rebuilt["timestamp"] == 10.0
-    assert rebuilt["modes"]["speculative"]["cpu_cycles"] == 1000
-    assert rebuilt["modes"]["speculative"]["host"]["wall_ms"] == 100.0
-
-
-def test_import_history_migrates_jsonl(tmp_path):
-    hist_dir = tmp_path / "history"
-    jsonl = JsonlHistory(str(hist_dir))
-    for ts in (1.0, 2.0):
-        jsonl.append(_history_rec("gzip", 1000, ts=ts))
-    jsonl.append(_history_rec("vpr", 800, ts=1.5))
-    store = ResultsStore(tmp_path / "store")
-    assert import_history(store, str(hist_dir)) == 3
-    assert [r["timestamp"] for r in store_history(store, "gzip")] == [1.0, 2.0]
-    assert import_history(store, str(tmp_path / "missing")) == 0
-
-
-def test_gate_parity_between_backends(tmp_path):
-    """The tentpole's compatibility claim: gating through the store
-    produces the same flags as the classic JSONL backend."""
-    jsonl = JsonlHistory(str(tmp_path / "history"))
-    backed = StoreHistory(str(tmp_path / "store"))
-    for backend in (jsonl, backed):
-        backend.append(_history_rec("gzip", 1000, ts=1.0))
-
-    current = _history_rec("gzip", 1300, ts=2.0)  # +30% cycles
-    reports = [
-        gate_records(backend, {"gzip": current}, update=False)
-        for backend in (jsonl, backed)
-    ]
-    for report in reports:
-        assert report.failed
-        assert [f.counter for f in report.flags] == ["cpu_cycles"]
-    assert str(reports[0].flags[0]) == str(reports[1].flags[0])
-
-    clean = _history_rec("gzip", 1010, ts=2.0)
-    for backend in (jsonl, backed):
-        assert not gate_records(backend, {"gzip": clean},
-                                update=False).flags
-
-
-def test_regress_cli_store_backend_exit_codes(tmp_path, capsys):
-    metrics_path = tmp_path / "metrics.json"
-    metrics_path.write_text(json.dumps({
-        "gzip": {"speculative": {
-            "counters": {"cpu_cycles": 1000, "retired_loads": 50},
-            "host": {"wall_ms": 100.0, "sim_steps_per_sec": 5e5},
-        }},
-    }))
-    store_dir = str(tmp_path / "store")
-    base = ["--metrics", str(metrics_path), "--store", store_dir]
-    # no history yet: distinct exit code, then --allow-seed records it
-    assert regress_main(base) == EXIT_NO_HISTORY
-    assert regress_main(base + ["--allow-seed"]) == 0
-    # unchanged numbers gate clean; --prune runs the store retention
-    assert regress_main(base + ["--prune", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "no counters regressed" in out and "prune:" in out
-
-    regressed = json.loads(metrics_path.read_text())
-    regressed["gzip"]["speculative"]["counters"]["cpu_cycles"] = 2000
-    metrics_path.write_text(json.dumps(regressed))
-    assert regress_main(base + ["--no-update"]) == 1
-    assert regress_main(base + ["--no-update", "--warn-only"]) == 0
 
 
 # -- CLI -----------------------------------------------------------------

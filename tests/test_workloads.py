@@ -53,6 +53,34 @@ def test_runner_cache():
     assert a is b  # memoized
 
 
+def test_runner_cache_sees_mutated_machine_config():
+    """The memo is keyed on the config's values, not its identity: the
+    same object with a different ALAT must not get the first result."""
+    from repro.machine.cpu import MachineConfig
+
+    config = MachineConfig()
+    config.alat.entries = 4
+    small = run_benchmark("gzip", machine_config=config)
+    config.alat.entries = 64
+    large = run_benchmark("gzip", machine_config=config)
+    assert large is not small
+    assert small.speculative.machine.alat_stats.capacity_evictions > 0
+    assert large.speculative.machine.alat_stats.capacity_evictions == 0
+
+
+def test_runner_cache_keys_on_every_option_field():
+    """``describe()`` omits ``rounds``; options differing only there
+    must not share a memo entry."""
+    one, two = SPECULATIVE(), SPECULATIVE()
+    two.rounds = 2
+    assert one.describe() == two.describe()
+    a = run_benchmark("vpr", spec_options=one)
+    b = run_benchmark("vpr", spec_options=two)
+    assert a is not b
+    assert b.speculative.options.rounds == 2
+    assert run_benchmark("vpr", spec_options=SPECULATIVE()) is a
+
+
 def test_baseline_and_speculative_options_differ():
     base, spec = BASELINE(), SPECULATIVE()
     assert base.spec_mode != spec.spec_mode
