@@ -19,6 +19,8 @@ from repro.ir.expr import BinOpKind, UnOpKind
 Value = Union[int, float]
 
 _INT_MASK = (1 << 64) - 1
+#: the signed 64-bit range: a result inside it needs no :func:`wrap_int`
+INT_MIN, INT_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def wrap_int(v: int) -> int:

@@ -35,7 +35,7 @@ from typing import NoReturn, Optional
 
 from repro.errors import InterpError, MachineError, MachineLimitExceeded
 from repro.ir.interp import HEAP_BASE, STACK_BASE, format_value
-from repro.ir.semantics import BINARY, UNARY, Value, wrap_int
+from repro.ir.semantics import BINARY, INT_MAX, INT_MIN, UNARY, Value, wrap_int
 from repro.machine.alat import ALAT, ALATConfig
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.counters import Counters
@@ -69,7 +69,6 @@ from repro.target.isa import (
 
 #: what a handler returns instead of a next op index to leave the function
 _RETURN = -1
-_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @dataclass
@@ -477,7 +476,7 @@ def _d_alu(sim, mf, i, nxt, labels, const):
             r = fn(regs[a], regs[b])
         except InterpError as exc:
             raise MachineError(str(exc)) from None
-        if not _INT_MIN <= r <= _INT_MAX and isinstance(r, int):
+        if not INT_MIN <= r <= INT_MAX and isinstance(r, int):
             r = wrap_int(r)
         regs[rd] = r
         ready[rd] = start + lat

@@ -4,8 +4,14 @@ semantics precisely (wrapping, truncating division, zero init, heap)."""
 import pytest
 
 from repro.errors import InterpError, InterpLimitExceeded
+from repro.ir.expr import ConstFloat, ConstInt, Load, VarRead
+from repro.ir.function import Function
 from repro.ir.interp import format_value, run_module
+from repro.ir.module import Module
 from repro.ir.semantics import int_div, int_mod, wrap_int
+from repro.ir.stmt import Alloc, Assign, Call, EvalStmt, Return, SpecFlag, Store
+from repro.ir.symbols import StorageClass, Variable
+from repro.ir.types import INT, pointer_to
 from repro.minic import compile_to_ir
 
 
@@ -248,3 +254,97 @@ def test_stats_counting():
     res = run("int g; int main() { g = 1; int x = g + g; print(x); return 0; }")
     assert res.stats.direct_loads >= 2
     assert res.stats.stores == 0  # direct assigns are not indirect stores
+
+
+# -- error paths on hand-built IR -------------------------------------------
+
+
+def _main(*stmts, extra=()):
+    """A module whose ``main`` is one block holding ``stmts``."""
+    module = Module()
+    fn = Function("main", [], INT)
+    block = fn.new_block()
+    for stmt in stmts:
+        block.append(stmt)
+    module.add_function(fn)
+    for other in extra:
+        module.add_function(other)
+    return module, fn
+
+
+def _int_ptr(value):
+    return ConstInt(value, pointer_to(INT))
+
+
+def _float_ptr():
+    addr = ConstFloat(2.5)
+    addr.type = pointer_to(INT)
+    return addr
+
+
+@pytest.mark.parametrize(
+    "addr,fault",
+    [(lambda: _int_ptr(0), "null dereference"), (_float_ptr, "float used as address")],
+)
+def test_load_fault_in_recovery_names_the_check(addr, fault):
+    """A load inside chk.a recovery code reports the top-level check
+    statement the recovery hangs off, not the recovery statement."""
+    module, fn = _main()
+    t, u = fn.new_temp(INT), fn.new_temp(INT)
+    recovery = [Assign(u, Load(addr(), INT))]
+    chk = Assign(t, ConstInt(1), SpecFlag.CHK_A, recovery)
+    fn.entry.append(chk)
+    fn.entry.append(Return(ConstInt(0)))
+    with pytest.raises(InterpError) as info:
+        run_module(module)
+    assert type(info.value) is InterpError
+    assert str(info.value) == f"{fault} in {chk}"
+
+
+def test_store_fault_in_recovery_names_the_store():
+    module, fn = _main()
+    t = fn.new_temp(INT)
+    store = Store(_int_ptr(0), ConstInt(7))
+    chk = Assign(t, ConstInt(1), SpecFlag.CHK_A, [store])
+    fn.entry.append(chk)
+    fn.entry.append(Return(ConstInt(0)))
+    with pytest.raises(InterpError, match=r"^null dereference in \*\(0\) = 7$"):
+        run_module(module)
+
+
+def test_variable_without_frame_address():
+    stranger = Variable("stranger", INT, StorageClass.LOCAL)
+    module, _ = _main(Return(VarRead(stranger)))
+    with pytest.raises(InterpError, match="^variable stranger has no address in frame$"):
+        run_module(module)
+
+
+def test_void_call_used_as_value():
+    callee = Function("nothing", [])
+    callee.new_block().append(Return())
+    module, fn = _main(extra=[callee])
+    r = fn.new_temp(INT)
+    call = Call(r, "nothing", [])
+    fn.entry.append(call)
+    fn.entry.append(Return(ConstInt(0)))
+    with pytest.raises(InterpError) as info:
+        run_module(module)
+    assert str(info.value) == f"void call used as value: {call}"
+
+
+def test_falling_off_a_block():
+    module, fn = _main(EvalStmt(ConstInt(1)))
+    label = fn.entry.label
+    with pytest.raises(InterpError, match=f"^fell off end of block {label} in main$"):
+        run_module(module)
+
+
+def test_negative_alloc_count():
+    module, fn = _main()
+    p = fn.new_temp(pointer_to(INT))
+    alloc = Alloc(p, INT, ConstInt(-1))
+    fn.entry.append(alloc)
+    fn.entry.append(Return(ConstInt(0)))
+    with pytest.raises(InterpError) as info:
+        run_module(module)
+    assert str(info.value) == f"negative allocation count in {alloc}"

@@ -8,8 +8,7 @@ import pytest
 
 from repro.errors import InterpError, MachineError
 from repro.ir.expr import BinOp, BinOpKind, ConstFloat, ConstInt, UnOp, UnOpKind
-from repro.ir.interp import Interpreter
-from repro.ir.module import Module
+from repro.ir.interp import evaluate
 from repro.machine.cpu import Simulator
 from repro.opt.constfold import fold_expr
 from repro.target.isa import Alu, Lea, MFunction, MovI, MProgram, Region, RetF, St, Un
@@ -27,7 +26,7 @@ def _const(v):
 
 def _interpret(expr):
     try:
-        return Interpreter(Module())._eval(expr)
+        return evaluate(expr)
     except InterpError as exc:
         return ("fault", str(exc))
 

@@ -12,10 +12,16 @@ Covers the contracts DESIGN.md §13 pins down:
 
 from __future__ import annotations
 
+import gc
 import json
+import time
+import weakref
 
 import pytest
 
+from repro.errors import InterpLimitExceeded
+from repro.ir.interp import Interpreter
+from repro.minic import compile_to_ir
 from repro.obs import (
     NULL_TRACE,
     HostProfiler,
@@ -25,6 +31,7 @@ from repro.obs import (
 )
 from repro.obs.sinks import MemorySink
 from repro.pipeline import CompilerOptions, OptLevel, SpecMode, compile_source
+from repro.workloads.programs import BENCHMARKS
 
 ALIASING = """
 int main(int n) {
@@ -230,6 +237,53 @@ def test_interpreter_profile_buckets():
     assert "interp.frame" in hp.ns
     assert any(k.startswith("interp.op.") for k in hp.ns)
     assert "interp.op.CondBranch" in hp.ns
+
+
+def _mcf_train(**interp_kwargs):
+    w = BENCHMARKS["mcf"]
+    interp = Interpreter(compile_to_ir(w.source), **interp_kwargs)
+    t0 = time.perf_counter_ns()
+    result = interp.run(list(w.train_args))
+    return result, time.perf_counter_ns() - t0
+
+
+def test_interpreter_profile_covers_run_wall():
+    hp = HostProfiler()
+    _, wall_ns = _mcf_train(host_profiler=hp)
+    covered = sum(
+        ns for key, ns in hp.ns.items()
+        if key.startswith("interp.op.") or key == "interp.frame"
+    )
+    assert covered == hp.total_ns  # the interpreter has no other buckets
+    assert 0.95 * wall_ns <= covered <= wall_ns
+
+
+def test_interpreter_results_identical_with_and_without_profiler():
+    plain, _ = _mcf_train()
+    profiled, _ = _mcf_train(host_profiler=HostProfiler())
+    assert profiled.output == plain.output
+    assert profiled.exit_value == plain.exit_value
+    assert vars(profiled.stats) == vars(plain.stats)
+
+
+@pytest.mark.parametrize("max_steps", [50_000_000, 1000])
+def test_finished_interpreter_freed_by_refcount(max_steps):
+    """Decoded code closes over the interpreter; ``run`` must drop it so
+    a finished interpreter needs no cycle collection to be freed."""
+    w = BENCHMARKS["mcf"]
+    module = compile_to_ir(w.source)
+    gc.disable()
+    try:
+        interp = Interpreter(module, host_profiler=HostProfiler(), max_steps=max_steps)
+        try:
+            interp.run(list(w.train_args))
+        except InterpLimitExceeded:
+            pass
+        ref = weakref.ref(interp)
+        del interp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- exporters -----------------------------------------------------------
