@@ -16,8 +16,7 @@ from repro.workloads.report import (
     figure10_table,
     figure11_table,
 )
-from repro.workloads.runner import BASELINE, SPECULATIVE, BenchmarkResult, _run_mode
-from repro.pipeline import run_program
+from repro.workloads.runner import BASELINE, SPECULATIVE, BenchmarkResult, measure
 
 # A hash-join kernel: build side fills buckets through a pointer whose
 # static class includes the join counters (dead path); probe side reads
@@ -65,12 +64,10 @@ int main(int n) {
 def main() -> None:
     print(f"custom workload: {MY_KERNEL.name} — {MY_KERNEL.description}\n")
 
-    reference = run_program(MY_KERNEL.source, list(MY_KERNEL.ref_args))
-    baseline = _run_mode(MY_KERNEL, "baseline", BASELINE(), reference.output)
-    speculative = _run_mode(
-        MY_KERNEL, "speculative", SPECULATIVE(), reference.output
+    modes = measure(
+        MY_KERNEL, {"baseline": BASELINE(), "speculative": SPECULATIVE()}
     )
-    result = BenchmarkResult(MY_KERNEL, baseline, speculative)
+    result = BenchmarkResult(MY_KERNEL, modes["baseline"], modes["speculative"])
 
     rows = {MY_KERNEL.name: result}
     for table in (

@@ -15,10 +15,10 @@ one **run record** per measurement into a sharded JSONL store (default
                       accumulates a time series of observations.
 ``kind``              ``run`` (a compile+simulate measurement),
                       ``chaos`` (campaign summary), ``calibration``
-                      (pressure-model calibration row), ``table``
-                      (published benchmark table artifact)
-``suite``             which harness produced it (``matrix``,
-                      ``ablation:<name>``, ``cli``, ``history``, ...)
+                      (pressure-model calibration row),
+                      ``static-alias`` (static vs profile comparison)
+``suite``             which harness produced it (``matrix``, ``cli``,
+                      ``chaos``, ...)
 ``bench`` / ``mode``  benchmark name and measurement label
 ``batch``             groups records ingested together (one matrix
                       sweep = one batch across its benchmarks/modes)

@@ -12,8 +12,10 @@ Entry points:
 
 * :class:`JobPool` / :class:`JobSpec` — the programmatic API;
 * :func:`repro.service.matrix.run_matrix` — the workload matrix as a
-  service client (``python -m repro.workloads --jobs N``);
-* ``python -m repro.service`` — the batch CLI;
+  service client;
+* ``python -m repro.service --jobs N --cache DIR`` — the batch CLI, and
+  the only pooled matrix CLI (``python -m repro.workloads`` runs the
+  matrix sequentially in-process);
 * :mod:`repro.chaos.service` — the service-level fault campaign.
 """
 

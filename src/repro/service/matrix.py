@@ -37,13 +37,10 @@ INTERP_TIMEOUT_TYPES = frozenset({"InterpTimeout", "InterpLimitExceeded"})
 def bench_spec(
     name: str,
     spec: str = "profile",
-    profile_sites: bool = False,
     fuel: Optional[int] = None,
     timeout_s: Optional[float] = None,
 ) -> JobSpec:
     payload: dict = {"bench": name, "spec": spec}
-    if profile_sites:
-        payload["profile_sites"] = True
     if fuel is not None:
         payload["fuel"] = fuel
     return JobSpec(
@@ -57,7 +54,6 @@ def bench_spec(
 def build_matrix_specs(
     benchmarks: Optional[list[str]] = None,
     spec: str = "profile",
-    profile_sites: bool = False,
     fuel: Optional[int] = None,
     timeout_s: Optional[float] = None,
 ) -> list[JobSpec]:
@@ -65,7 +61,7 @@ def build_matrix_specs(
 
     names = benchmarks if benchmarks is not None else list(BENCHMARKS)
     return [
-        bench_spec(n, spec, profile_sites, fuel, timeout_s) for n in names
+        bench_spec(n, spec, fuel, timeout_s) for n in names
     ]
 
 
@@ -144,66 +140,6 @@ def matrix_results(job_results: list[JobResult]):
     return results, failures
 
 
-def service_store_records(
-    results: dict,
-    suite: str = "matrix",
-    batch: Optional[str] = None,
-    config: Optional[dict] = None,
-) -> list[dict]:
-    """Store run records for a service matrix outcome.
-
-    Service artifacts already carry the store-record shape
-    (``StoredMode.record``: counters + options string + optional
-    per-site stats, with host metrics merged back in by
-    :func:`matrix_results`), so those modes are recorded directly; any
-    benchmark the pool degraded to a sequential in-process run is a
-    live :class:`~repro.workloads.runner.ModeResult` and goes through
-    the regular ``store_records`` path.  All records share one batch
-    id.
-    """
-    from repro.machine.cpu import MachineConfig
-    from repro.obs.store import make_record, new_batch_id
-    from repro.workloads.report import StoredMode
-    from repro.workloads.runner import store_records
-
-    batch = batch or new_batch_id()
-    live = {
-        name: result
-        for name, result in results.items()
-        if not isinstance(result.baseline, StoredMode)
-    }
-    records = (
-        store_records(live, suite=suite, batch=batch, config=config)
-        if live
-        else []
-    )
-    machine = MachineConfig()  # bench jobs run the default geometry
-    for name, result in sorted(results.items()):
-        if name in live:
-            continue
-        for mode in [
-            result.baseline, result.speculative, *result.extras.values()
-        ]:
-            rec = mode.record
-            run_config = dict(rec.get("config") or {})
-            if config:
-                run_config.update(config)
-            records.append(
-                make_record(
-                    name,
-                    mode.label,
-                    dict(rec.get("metrics", {})),
-                    suite=suite,
-                    source=result.workload.source,
-                    config=run_config or None,
-                    machine=machine,
-                    sites=rec.get("sites"),
-                    batch=batch,
-                )
-            )
-    return records
-
-
 @dataclass
 class MatrixOutcome:
     """Everything one service matrix run produced."""
@@ -223,7 +159,6 @@ def run_matrix(
     obs=None,
     benchmarks: Optional[list[str]] = None,
     spec: str = "profile",
-    profile_sites: bool = False,
     fuel: Optional[int] = None,
     timeout_s: Optional[float] = None,
     pool_kwargs: Optional[dict] = None,
@@ -231,9 +166,7 @@ def run_matrix(
     """The full matrix through the pool, with sequential degradation."""
     from repro.service.cache import ArtifactCache
 
-    specs = build_matrix_specs(
-        benchmarks, spec, profile_sites, fuel, timeout_s
-    )
+    specs = build_matrix_specs(benchmarks, spec, fuel, timeout_s)
     cache = ArtifactCache(cache_dir, obs=obs) if cache_dir else None
     pool = JobPool(
         jobs=jobs, cache=cache, obs=obs, **(pool_kwargs or {})
@@ -267,7 +200,6 @@ def run_matrix(
                 results[name] = run_benchmark(
                     name,
                     use_cache=False,
-                    profile_sites=profile_sites,
                     spec_options=bench_spec_options(spec),
                     fuel=fuel,
                 )

@@ -114,7 +114,6 @@ def _run_bench(payload: dict, ctx: dict) -> tuple[dict, dict]:
     result = run_benchmark(
         name,
         use_cache=False,
-        profile_sites=bool(payload.get("profile_sites")),
         spec_options=bench_spec_options(payload.get("spec", "profile")),
         fuel=payload.get("fuel"),
     )
@@ -131,12 +130,6 @@ def _run_bench(payload: dict, ctx: dict) -> tuple[dict, dict]:
             "config": {"options": mode.options.describe()},
         }
         extra["host"][mode.label] = mode.host_metrics
-        if payload.get("profile_sites"):
-            from repro.workloads.runner import mode_sites
-
-            sites = mode_sites(mode)
-            if sites is not None:
-                artifact["modes"][mode.label]["sites"] = sites
     return artifact, extra
 
 

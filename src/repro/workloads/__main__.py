@@ -50,21 +50,6 @@ def main(argv=None) -> int:
         "backfills unprofiled stores with static estimates",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan the matrix out across N repro.service workers "
-        "(0 = sequential in-process, the default); failures keep the "
-        "same exit-code semantics as the sequential path",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="service artifact cache directory (only with --jobs)",
-    )
-    parser.add_argument(
         "--fuel",
         type=int,
         default=None,
@@ -73,11 +58,6 @@ def main(argv=None) -> int:
         "structured timeout failure, not a hang",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0")
-    if args.jobs and args.trace_dir:
-        parser.error("--trace-dir requires the sequential path "
-                     "(drop --jobs)")
 
     spec_options = None
     if args.alias_prob == "static":
@@ -92,33 +72,13 @@ def main(argv=None) -> int:
         spec_options.alias_prob = AliasProbSource.HYBRID
 
     failures: list[WorkloadFailure] = []
-    if args.jobs:
-        from repro.service.matrix import run_matrix
-
-        outcome = run_matrix(
-            jobs=args.jobs,
-            cache_dir=args.cache,
-            spec=args.alias_prob,
-            profile_sites=bool(args.store),
-            fuel=args.fuel,
-        )
-        results = outcome.results
-        failures.extend(outcome.failures)
-        print(outcome.ledger.format(), file=sys.stderr)
-        if outcome.degraded:
-            print(
-                "service degraded to sequential for: "
-                + ", ".join(outcome.degraded),
-                file=sys.stderr,
-            )
-    else:
-        results = run_all_benchmarks(
-            trace_dir=args.trace_dir,
-            failures=failures,
-            profile_sites=bool(args.store),
-            spec_options=spec_options,
-            fuel=args.fuel,
-        )
+    results = run_all_benchmarks(
+        trace_dir=args.trace_dir,
+        failures=failures,
+        profile_sites=bool(args.store),
+        spec_options=spec_options,
+        fuel=args.fuel,
+    )
     if results:
         print(matrix_table(results))
         if args.report_json:
@@ -127,19 +87,11 @@ def main(argv=None) -> int:
                 fh.write("\n")
         if args.store:
             from repro.obs.store import ResultsStore
+            from repro.workloads.runner import ingest_results
 
-            if args.jobs:
-                from repro.service.matrix import service_store_records
-
-                run_ids = ResultsStore(args.store).ingest_many(
-                    service_store_records(results, suite="matrix")
-                )
-            else:
-                from repro.workloads.runner import ingest_results
-
-                run_ids = ingest_results(
-                    ResultsStore(args.store), results, suite="matrix"
-                )
+            run_ids = ingest_results(
+                ResultsStore(args.store), results, suite="matrix"
+            )
             print(
                 f"store: ingested {len(run_ids)} run record(s) into "
                 f"{args.store}",

@@ -273,69 +273,3 @@ def benchmark_results_from_records(
             },
         )
     return out
-
-
-#: deterministic figure tables recomputed from matrix run records:
-#: ``{file stem: renderer}``
-_STORE_TABLES = {
-    "figure8_performance": figure8_table,
-    "figure9_load_types": figure9_table,
-    "figure10_misspeculation": figure10_table,
-    "figure11_rse": figure11_table,
-}
-
-
-def write_tables_from_store(
-    store, out_dir: str, check: bool = False
-) -> tuple[list[str], list[str]]:
-    """Regenerate every derived table in ``benchmarks/results/`` from
-    stored runs: figure8–11 and ``figures.json`` recomputed from the
-    latest matrix run records, every other published table (ablations)
-    re-emitted from its latest ``kind=table`` record.  ``metrics.json``
-    is *not* regenerated — it embeds host wall times, which are honest
-    measurements of the session that produced them, not derivable data.
-
-    With ``check``, nothing is written; existing files are diffed and
-    the second return value lists the stale ones (missing counts as
-    stale).  Returns ``(paths written or checked, stale names)``.
-    """
-    import json as _json
-    import os
-
-    from repro.obs.store.query import latest_matrix, runs
-
-    results = benchmark_results_from_records(
-        latest_matrix(store, suite="matrix")
-    )
-    artifacts: dict[str, str] = {}
-    if results:
-        for stem, renderer in _STORE_TABLES.items():
-            artifacts[f"{stem}.txt"] = renderer(results) + "\n"
-        artifacts["figures.json"] = (
-            _json.dumps(figures_as_dict(results), indent=2) + "\n"
-        )
-    for rec in runs(store, kind="table", suite="tables"):
-        stem = rec.get("bench", "?")
-        if stem in _STORE_TABLES:
-            continue  # recomputed above from the raw runs
-        text = rec.get("metrics", {}).get("table", {}).get("text")
-        if isinstance(text, str):
-            artifacts[f"{stem}.txt"] = text + "\n"  # latest record wins
-
-    written: list[str] = []
-    stale: list[str] = []
-    for name in sorted(artifacts):
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        if check:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    if fh.read() != artifacts[name]:
-                        stale.append(name)
-            except OSError:
-                stale.append(name)
-        else:
-            os.makedirs(out_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(artifacts[name])
-    return written, stale

@@ -10,6 +10,7 @@ against the unoptimised interpreter before any number is reported.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -208,35 +209,65 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def _run_mode(
+def measure(
     workload: Workload,
-    label: str,
-    options: CompilerOptions,
-    expected_output: list[str],
-    obs: Optional[TraceContext] = None,
-    profile: bool = False,
+    instances: dict[str, CompilerOptions],
     fuel: int = DEFAULT_INTERP_FUEL,
-) -> ModeResult:
-    output = compile_source(
-        workload.source,
-        options,
-        train_args=list(workload.train_args),
-        name=workload.name,
-        obs=obs,
-        max_steps=fuel,
+    trace_dir: Optional[str] = None,
+    profile_sites: bool = False,
+) -> dict[str, ModeResult]:
+    """Measure one workload under each named configuration.
+
+    The reference oracle runs once; every instance is compiled (profile
+    on the train input), run on the ref input and its output checked
+    against the oracle — a mismatch raises :class:`AssertionError`
+    naming the workload and label.  Instances must have ``fallback``
+    off: a measurement that silently degraded to -O0 would corrupt
+    every figure it feeds.  ``fuel`` bounds every interpreter run (the
+    oracle and the profile-training run).  With ``trace_dir`` set, each
+    instance streams its event trace to
+    ``{trace_dir}/{workload}.{label}.jsonl``; with ``profile_sites``,
+    each run collects the per-ALAT-site attribution profile
+    (observational only — counters are identical).
+    """
+    for label, options in instances.items():
+        if options.fallback:
+            raise ValueError(
+                f"{workload.name}/{label}: measured options must not "
+                "fall back (set fallback=False)"
+            )
+    reference = run_program(
+        workload.source, list(workload.ref_args), max_steps=fuel
     )
-    try:
-        machine = output.run(list(workload.ref_args), profile=profile)
-    finally:
-        if obs is not None:
-            obs.close()
-    if machine.output != expected_output:
-        raise AssertionError(
-            f"{workload.name}/{label}: output mismatch vs reference\n"
-            f"  got:      {machine.output}\n"
-            f"  expected: {expected_output}"
+    modes: dict[str, ModeResult] = {}
+    for label, options in instances.items():
+        obs = None
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
+            obs = TraceContext(JsonlSink(
+                os.path.join(trace_dir, f"{workload.name}.{label}.jsonl")
+            ))
+        output = compile_source(
+            workload.source,
+            options,
+            train_args=list(workload.train_args),
+            name=workload.name,
+            obs=obs,
+            max_steps=fuel,
         )
-    return ModeResult(label, options, output, machine)
+        try:
+            machine = output.run(list(workload.ref_args), profile=profile_sites)
+        finally:
+            if obs is not None:
+                obs.close()
+        if machine.output != reference.output:
+            raise AssertionError(
+                f"{workload.name}/{label}: output mismatch vs reference\n"
+                f"  got:      {machine.output}\n"
+                f"  expected: {reference.output}"
+            )
+        modes[label] = ModeResult(label, options, output, machine)
+    return modes
 
 
 def run_benchmark(
@@ -251,15 +282,12 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Measure one benchmark: baseline + speculative (+ extras).
 
-    With ``trace_dir`` set, every mode run streams its structured event
-    trace to ``{trace_dir}/{benchmark}.{mode}.jsonl``.  With
-    ``profile_sites``, each run collects the per-ALAT-site attribution
-    profile (observational only — simulated counters are identical) so
-    results-store records carry per-site collision/eviction stats.
-    ``spec_options`` replaces the default profile-guided treatment
-    (e.g. ``STATIC_SPECULATIVE()`` for the no-profile sweep).
-    ``fuel`` bounds every interpreter run (the reference oracle and the
-    profile-training run); default :data:`DEFAULT_INTERP_FUEL`.
+    A memoised :func:`measure` of the named workload under
+    :func:`BASELINE`, the treatment (``spec_options``, default
+    :func:`SPECULATIVE`; e.g. ``STATIC_SPECULATIVE()`` for the
+    no-profile sweep) and ``extra_modes``, all on ``machine_config``
+    when given.  ``trace_dir``, ``profile_sites`` and ``fuel`` are
+    :func:`measure`'s (``fuel`` default :data:`DEFAULT_INTERP_FUEL`).
     """
     fuel = fuel if fuel is not None else DEFAULT_INTERP_FUEL
     # Keyed on values, not identities or summaries: a mutated config
@@ -271,46 +299,20 @@ def run_benchmark(
     if use_cache and key in _cache:
         return _cache[key]
 
-    def _obs(label: str) -> Optional[TraceContext]:
-        if trace_dir is None:
-            return None
-        import os
-
-        os.makedirs(trace_dir, exist_ok=True)
-        return TraceContext(
-            JsonlSink(os.path.join(trace_dir, f"{name}.{label}.jsonl"))
-        )
-
-    workload = get_workload(name)
-    reference = run_program(
-        workload.source, list(workload.ref_args), max_steps=fuel
-    )
-
-    base_opts = BASELINE()
-    spec_opts = spec_options if spec_options is not None else SPECULATIVE()
+    instances = {
+        "baseline": BASELINE(),
+        "speculative": spec_options if spec_options is not None
+        else SPECULATIVE(),
+        **(extra_modes or {}),
+    }
     if machine_config is not None:
-        base_opts.machine = machine_config
-        spec_opts.machine = machine_config
-
-    result = BenchmarkResult(
-        workload,
-        baseline=_run_mode(
-            workload, "baseline", base_opts, reference.output,
-            _obs("baseline"), profile=profile_sites, fuel=fuel,
-        ),
-        speculative=_run_mode(
-            workload, "speculative", spec_opts, reference.output,
-            _obs("speculative"), profile=profile_sites, fuel=fuel,
-        ),
-    )
-    for label, options in (extra_modes or {}).items():
-        if machine_config is not None:
+        for options in instances.values():
             options.machine = machine_config
-        result.extras[label] = _run_mode(
-            workload, label, options, reference.output, _obs(label),
-            profile=profile_sites, fuel=fuel,
-        )
-
+    workload = get_workload(name)
+    modes = measure(workload, instances, fuel, trace_dir, profile_sites)
+    result = BenchmarkResult(
+        workload, modes.pop("baseline"), modes.pop("speculative"), modes
+    )
     if use_cache:
         _cache[key] = result
     return result

@@ -45,6 +45,71 @@ def test_runner_validates_output():
     assert result.workload.name == "vpr"
 
 
+def test_measure_runs_oracle_once_and_each_instance_once(monkeypatch):
+    """The runner function every sweep measures through: one reference
+    run per target, one compilation per instance, and a diverging
+    instance named in the mismatch error."""
+    import repro.workloads.runner as runner
+    from repro.workloads.programs import Workload
+
+    workload = Workload(
+        name="count-up",
+        source="int main(int n) { int i = 0; int s = 0; "
+        "while (i < n) { s = s + i; i = i + 1; } print(s); return 0; }",
+        train_args=(4,),
+        ref_args=(9,),
+        is_float=False,
+        description="not in BENCHMARKS",
+    )
+    assert workload.name not in BENCHMARKS
+    calls = {"oracle": 0, "compile": []}
+    real_run_program, real_compile = runner.run_program, runner.compile_source
+
+    def counting_oracle(*args, **kwargs):
+        calls["oracle"] += 1
+        return real_run_program(*args, **kwargs)
+
+    def counting_compile(source, options, **kwargs):
+        calls["compile"].append(options)
+        return real_compile(source, options, **kwargs)
+
+    monkeypatch.setattr(runner, "run_program", counting_oracle)
+    monkeypatch.setattr(runner, "compile_source", counting_compile)
+    base, spec = BASELINE(), SPECULATIVE()
+    modes = runner.measure(workload, {"base": base, "spec": spec})
+    assert calls["oracle"] == 1
+    assert calls["compile"] == [base, spec]
+    assert list(modes) == ["base", "spec"]
+    assert modes["spec"].options is spec
+    assert modes["base"].machine.output == ["36"]
+
+    def diverging_compile(source, options, **kwargs):
+        output = real_compile(source, options, **kwargs)
+        if options is spec:
+            real_run = output.run
+
+            def run(*args, **kw):
+                result = real_run(*args, **kw)
+                result.output = ["-1"]
+                return result
+
+            output.run = run
+        return output
+
+    monkeypatch.setattr(runner, "compile_source", diverging_compile)
+    with pytest.raises(AssertionError, match="count-up/spec: output mismatch"):
+        runner.measure(workload, {"base": base, "spec": spec})
+
+
+def test_measure_rejects_options_that_fall_back():
+    from repro.workloads.runner import measure
+
+    options = SPECULATIVE()
+    options.fallback = True
+    with pytest.raises(ValueError, match="vpr/spec: .*fall back"):
+        measure(get_workload("vpr"), {"spec": options})
+
+
 def test_runner_cache():
     from repro.workloads.runner import _cache
 
