@@ -247,15 +247,15 @@ def measure(
             obs = TraceContext(JsonlSink(
                 os.path.join(trace_dir, f"{workload.name}.{label}.jsonl")
             ))
-        output = compile_source(
-            workload.source,
-            options,
-            train_args=list(workload.train_args),
-            name=workload.name,
-            obs=obs,
-            max_steps=fuel,
-        )
         try:
+            output = compile_source(
+                workload.source,
+                options,
+                train_args=list(workload.train_args),
+                name=workload.name,
+                obs=obs,
+                max_steps=fuel,
+            )
             machine = output.run(list(workload.ref_args), profile=profile_sites)
         finally:
             if obs is not None:
