@@ -137,3 +137,102 @@ def test_compile_output_stats_aggregation():
 def test_interpret_runs_optimised_ir():
     out = compile_source(SIMPLE, CompilerOptions(opt_level=OptLevel.O3))
     assert out.interpret([4]).output == ["5"]
+
+
+# -- the frontend's parse memo ----------------------------------------------
+
+
+def _objects(module):
+    """Every variable and statement a module owns."""
+    variables = list(module.globals)
+    stmts = []
+    for fn in module.iter_functions():
+        variables += fn.all_variables()
+        stmts += list(fn.iter_stmts())
+    return variables, stmts
+
+
+def test_parse_memo_shares_no_ir_between_compilations(monkeypatch):
+    from repro.ir.printer import format_module
+    from repro.minic import compile_to_ir
+    from repro.pipeline import driver
+
+    oracle_modules = []
+    real_run_module = driver.run_module
+
+    def capture(module, *args, **kwargs):
+        oracle_modules.append(module)
+        return real_run_module(module, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "run_module", capture)
+    first = compile_to_ir(SIMPLE)
+    second = compile_to_ir(SIMPLE)
+    assert run_program(SIMPLE, [4]).output == ["5"]
+    modules = [first, second, *oracle_modules]
+    assert len(modules) == 3
+
+    seen_vars: set[int] = set()
+    seen_stmts: set[int] = set()
+    seen_sids: set[int] = set()
+    for module in modules:
+        variables, stmts = _objects(module)
+        assert variables and stmts
+        var_ids = {id(v) for v in variables}
+        stmt_ids = {id(s) for s in stmts}
+        sids = {s.sid for s in stmts}
+        assert not var_ids & seen_vars
+        assert not stmt_ids & seen_stmts
+        assert not sids & seen_sids
+        seen_vars |= var_ids
+        seen_stmts |= stmt_ids
+        seen_sids |= sids
+    dumps = {format_module(m) for m in modules}
+    assert len(dumps) == 1
+
+
+def test_parse_error_raises_every_call_and_is_not_memoised():
+    from repro.errors import LexError, ParseError
+    from repro.minic import compile_to_ir
+    from repro.minic.lower import _parse_memo
+
+    for bad, error in (("int main( { return 0; }", ParseError),
+                       ("int main() { return 0 $ 1; }", LexError)):
+        before = _parse_memo.cache_info()
+        for _ in range(2):
+            with pytest.raises(error):
+                compile_to_ir(bad)
+        after = _parse_memo.cache_info()
+        assert after.hits == before.hits
+        assert after.misses == before.misses + 2
+        assert after.currsize == before.currsize
+
+
+def test_semantic_error_raises_from_the_memoised_parse():
+    from repro.errors import SemanticError
+    from repro.minic import compile_to_ir
+    from repro.minic.lower import _parse_memo
+
+    bad = SIMPLE.replace("print(g + 1)", "print(h + 1)")
+    before = _parse_memo.cache_info()
+    for _ in range(3):
+        with pytest.raises(SemanticError, match="undefined variable 'h'"):
+            compile_to_ir(bad)
+    after = _parse_memo.cache_info()
+    assert after.hits == before.hits + 2  # parsed once, analysed three times
+    # the fixed program is another source and compiles as usual
+    fixed = bad.replace("int g;", "int g;\nint h;")
+    assert run_program(fixed, [4]).output == ["1"]
+    assert compile_and_run(fixed, [4]).output == ["1"]
+    with pytest.raises(SemanticError):
+        compile_to_ir(bad)
+
+
+def test_parse_memo_does_not_fix_the_module_name():
+    from repro.minic import compile_to_ir
+    from repro.minic.lower import _parse_memo
+
+    compile_to_ir(SIMPLE, "first")
+    hits = _parse_memo.cache_info().hits
+    assert compile_to_ir(SIMPLE, "second").name == "second"
+    assert compile_to_ir(SIMPLE, "first").name == "first"
+    assert _parse_memo.cache_info().hits == hits + 2
