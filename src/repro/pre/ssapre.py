@@ -253,27 +253,18 @@ class SSAPRE:
     # ------------------------------------------------------------------
 
     def _insert_phis(self) -> None:
-        from repro.analysis.domfrontier import compute_dominance_frontiers
-
-        df = compute_dominance_frontiers(self.fn, self.info.domtree)
-        # Seed blocks: occurrence blocks plus def blocks of every
-        # variable of the expression (conservative superset; spurious
-        # Phis die in DownSafety/WillBeAvail).
+        df = self.info.dom_frontiers
+        # Seed blocks: occurrence blocks plus def blocks (statement, χ
+        # or variable phi) of every variable of the expression
+        # (conservative superset; spurious Phis die in
+        # DownSafety/WillBeAvail).  Def blocks join in block order, so
+        # the seeds iterate, and Phis are placed, in one fixed order.
         seeds: set[int] = set(self._occ_by_block)
-        key_set = set(self.keys)
-        for block in self.fn.blocks:
-            for stmt in block.stmts:
-                target = _stmt_def_key(stmt)
-                if target in key_set:
-                    seeds.add(block.bid)
-                for chi in stmt.chi_list:
-                    if chi.key in key_set:
-                        seeds.add(block.bid)
-            for key, _phi in self.info.block_phis(block).items():
-                if key in key_set:
-                    seeds.add(block.bid)
+        def_blocks = set().union(
+            *(self.info.def_blocks.get(key, ()) for key in self.keys)
+        )
+        seeds.update(b.bid for b in self.fn.blocks if b.bid in def_blocks)
 
-        blocks_by_id = {b.bid: b for b in self.fn.blocks}
         placed: set[int] = set()
         worklist = list(seeds)
         while worklist:
@@ -412,19 +403,19 @@ class SSAPRE:
                 assert stack[-1].phi is not None
                 stack[-1].phi.down_safe = False
 
-        # expression-Phi operands of successors
-        exit_versions, exit_base = self._versions_at(block.bid, entry=False)
-        for succ in block.successors():
-            sphi = self.phis.get(succ.bid)
-            if sphi is None:
-                continue
-            pred_index = succ.preds.index(block)
-            operand = sphi.operands[pred_index]
-            if stack:
-                top = stack[-1]
-                matched = self._match(top, exit_versions, exit_base)
-                # the operand must carry the value current at block exit
-                if matched is not None:
+        # expression-Phi operands of successors: the operand must carry
+        # the value current at block exit
+        succ_phis = [
+            (succ, self.phis[succ.bid])
+            for succ in block.successors() if succ.bid in self.phis
+        ]
+        if succ_phis and stack:
+            top = stack[-1]
+            exit_versions, exit_base = self._versions_at(block.bid, entry=False)
+            matched = self._match(top, exit_versions, exit_base)
+            if matched is not None:
+                for succ, sphi in succ_phis:
+                    operand = sphi.operands[succ.preds.index(block)]
                     operand.class_id = top.class_id
                     operand.has_real_use = top.seen_real_use or top.kind in (
                         _DefKind.REAL,
@@ -1208,14 +1199,6 @@ class _AvailEntry:
         #: some *speculative* consumer reads this entry's value — only
         #: then is an ALAT entry (ld.a after a store) worth arming
         self.spec_linked = False
-
-
-def _stmt_def_key(stmt: Stmt) -> Optional[VarKey]:
-    from repro.ir.stmt import stmt_defines
-    from repro.ssa.hssa import var_key
-
-    target = stmt_defines(stmt)
-    return var_key(target) if target is not None else None
 
 
 def _chi_old_version(stmt: Optional[Stmt], key: VarKey, new_version: int) -> Optional[int]:

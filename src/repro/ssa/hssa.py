@@ -139,6 +139,11 @@ class HSSAInfo:
         #: block's variable phis) and at block exit, per block id
         self.block_entry_versions: dict[int, dict[VarKey, int]] = {}
         self.block_exit_versions: dict[int, dict[VarKey, int]] = {}
+        #: dominance frontiers of the CFG this overlay was built on
+        self.dom_frontiers: dict[int, list[BasicBlock]] = {}
+        #: ids of the blocks holding a statement def, a χ or a variable
+        #: phi of each key (keys with no def are absent)
+        self.def_blocks: dict[VarKey, set[int]] = {}
         self._counters: dict[VarKey, itertools.count] = {}
 
     def version_at_entry(self, bid: int, key: VarKey) -> int:
@@ -359,6 +364,7 @@ def _collect_ssa_vars(fn: Function) -> dict[VarKey, SSAVar]:
 
 def _insert_phis(fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
     df = compute_dominance_frontiers(fn, domtree)
+    info.dom_frontiers = df
     ssa_vars = _collect_ssa_vars(fn)
 
     # def blocks per variable
@@ -389,6 +395,7 @@ def _insert_phis(fn: Function, info: HSSAInfo, domtree: DominatorTree) -> None:
                 if fb.bid not in on_list:
                     on_list.add(fb.bid)
                     worklist.append(fb)
+        info.def_blocks[key] = {b.bid for b in blocks} | placed
 
 
 # ---------------------------------------------------------------------------
