@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import LexError
@@ -79,85 +80,52 @@ class Token:
         return f"{self.kind.value}({self.text!r})@{self.line}:{self.column}"
 
 
+#: One alternative per token class, tried in this order at each
+#: position; ``bad`` takes any character nothing else does, so matches
+#: tile the source.  Punctuation keeps the longest-match-first order.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize MiniC source, raising :class:`LexError` on bad input."""
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        # numbers
-        if ch.isdigit():
-            start, start_line, start_col = i, line, col
-            while i < n and source[i].isdigit():
-                advance(1)
-            is_float = False
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                is_float = True
-                advance(1)
-                while i < n and source[i].isdigit():
-                    advance(1)
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    is_float = True
-                    advance(j - i)
-                    while i < n and source[i].isdigit():
-                        advance(1)
-            text = source[start:i]
+    line_start = 0  # index of the first character of ``line``
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        col = m.start() - line_start + 1
+        if group == "space" or group == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
+        elif group == "number":
+            is_float = "." in text or "e" in text or "E" in text
             kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        # identifiers / keywords
-        if ch.isalpha() or ch == "_":
-            start, start_line, start_col = i, line, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
+            tokens.append(Token(kind, text, line, col))
+        elif group == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                # a numeric character that is neither a letter nor a
+                # decimal digit (say "½")
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        # punctuation
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(TokenKind.PUNCT, punct, line, col))
-                advance(len(punct))
-                break
+            tokens.append(Token(kind, text, line, col))
+        elif group == "punct":
+            tokens.append(Token(TokenKind.PUNCT, text, line, col))
+        elif group == "open_comment":
+            raise LexError("unterminated block comment", line, col)
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
+            raise LexError(f"unexpected character {text!r}", line, col)
 
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens

@@ -103,3 +103,13 @@ def test_underscore_identifiers():
         (TokenKind.IDENT, "x_y"),
         (TokenKind.IDENT, "_1"),
     ]
+
+
+def test_error_column_after_multiline_block_comment():
+    with pytest.raises(LexError) as exc:
+        tokenize("a /* x\nyy\n */ $")
+    assert (exc.value.line, exc.value.column) == (3, 5)
+    toks = tokenize("/* one\n two */\tb /*\n*/c")
+    assert [(t.text, t.line, t.column) for t in toks] == [
+        ("b", 2, 9), ("c", 3, 3), ("", 3, 4),
+    ]
