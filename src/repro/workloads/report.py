@@ -242,34 +242,3 @@ class StoredMode:
     def retired_direct_loads(self) -> int:
         c = self.counters
         return c.retired_loads - c.retired_indirect_loads
-
-
-def benchmark_results_from_records(
-    latest: dict[str, dict[str, dict]],
-) -> dict[str, BenchmarkResult]:
-    """Rebuild the ``{bench: BenchmarkResult}`` map the figure tables
-    consume from stored run records (``repro.obs.store.latest_matrix``
-    shape).  Reuses the real :class:`BenchmarkResult` reduction
-    properties, so a regenerated table is byte-identical to one
-    computed live from the same measurements.  Benchmarks missing
-    either mode are skipped."""
-    from repro.workloads.programs import BENCHMARKS
-
-    order = [b for b in BENCHMARKS if b in latest]
-    order += [b for b in sorted(latest) if b not in BENCHMARKS]
-    out: dict[str, BenchmarkResult] = {}
-    for bench in order:
-        modes = latest[bench]
-        if "baseline" not in modes or "speculative" not in modes:
-            continue
-        out[bench] = BenchmarkResult(
-            workload=None,
-            baseline=StoredMode(modes["baseline"]),
-            speculative=StoredMode(modes["speculative"]),
-            extras={
-                label: StoredMode(rec)
-                for label, rec in modes.items()
-                if label not in ("baseline", "speculative")
-            },
-        )
-    return out
