@@ -14,8 +14,10 @@ Pipeline per compilation::
       └─ simulation                                repro.machine
 
 The profile must be collected on the *untransformed* module so its
-statement/expression ids line up with what the promoter consults —
-exactly like instrumenting the unoptimised binary, as the authors did.
+statements and expressions are the ones the promoter consults — exactly
+like instrumenting the unoptimised binary, as the authors did.  A
+ready-made profile is bound, by position, to the module each
+compilation lowers (:meth:`AliasProfile.bind`).
 """
 
 from __future__ import annotations
@@ -303,7 +305,10 @@ def compile_source(
     ``SOFTWARE`` when no ready-made ``profile`` is supplied;
     ``max_steps`` bounds that interpreter run (fuel), so a runaway
     training input raises :class:`repro.errors.InterpTimeout` instead
-    of hanging the compilation.
+    of hanging the compilation.  A supplied ``profile`` may come from
+    any lowering of ``source``: it is bound to the module compiled here,
+    and one collected on another program raises
+    :class:`repro.speculation.profile.ProfileMismatch`.
 
     ``obs`` threads a :class:`repro.obs.TraceContext` through every
     phase (timers, speculation decisions, codegen stats); omitted, a
@@ -317,7 +322,9 @@ def compile_source(
         info["functions"] = sum(1 for _ in module.iter_functions())
 
     needs_profile = opts.spec_mode in (SpecMode.PROFILE, SpecMode.SOFTWARE)
-    if needs_profile and profile is None:
+    if profile is not None:
+        profile = profile.bind(module)
+    elif needs_profile:
         with obs.phase("profile") as info:
             profile, _ = collect_alias_profile(
                 module, train_args,
@@ -331,9 +338,12 @@ def compile_source(
         # Optimisation phases mutate the module in place, so every retry
         # re-lowers a fresh module (the parse itself is memoised).
         attempt_module = module if i == 0 else compile_to_ir(source, name)
+        attempt_profile = profile
+        if i > 0 and profile is not None:
+            attempt_profile = profile.bind(attempt_module)
         try:
             output = _compile_module(
-                attempt_module, attempt, profile, name, obs
+                attempt_module, attempt, attempt_profile, name, obs
             )
         except (SourceError, SpecLintError, ConfigError):
             # User-facing verdicts, not internal crashes: a source error
