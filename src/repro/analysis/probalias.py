@@ -562,7 +562,6 @@ def compare_workload(name: str) -> ComparisonRow:
     unoptimised interpreter."""
     # Local imports: the pipeline/workloads layers import repro.analysis.
     from repro.analysis.alatpressure import analyze_module_pressure
-    from repro.pipeline import compile_source
     from repro.pipeline.options import PromotionGate
     from repro.speclint import facts_from_pre_stats
     from repro.speculation.profile import object_key
@@ -570,18 +569,16 @@ def compare_workload(name: str) -> ComparisonRow:
     from repro.workloads.runner import (
         SPECULATIVE,
         STATIC_SPECULATIVE,
+        compile_workload,
         run_benchmark,
     )
 
     workload = get_workload(name)
     options = SPECULATIVE()
     options.promotion_gate = PromotionGate.OFF
-    output = compile_source(
-        workload.source,
-        options,
-        train_args=list(workload.train_args),
-        name=name,
-    )
+    # Trains through the runner's profile memo, which the treatment's
+    # compilation in run_benchmark below then reuses.
+    output = compile_workload(workload, options)
     am = output.alias_manager
     facts = facts_from_pre_stats(output.pre_stats, am)
     kwargs = dict(

@@ -6,15 +6,22 @@ input, and the baseline for comparison is the -O3 configuration
 (classical PRE register promotion plus Nicolau-style software run-time
 checks).  Every run's observable output is differentially checked
 against the unoptimised interpreter before any number is reported.
+
+Both interpreter runs are pure functions of (source, args, fuel), so
+:func:`measure` takes them from a small content memo: the reference
+oracle and the training profile run once per distinct input, however
+many configurations or machine geometries measure it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import InterpTimeout, ReproError, SourceError
+from repro.ir.interp import InterpResult
 from repro.machine.counters import Counters
 from repro.machine.cpu import MachineConfig, MachineResult
 from repro.obs import JsonlSink, TraceContext
@@ -204,9 +211,90 @@ class BenchmarkResult:
 
 _cache: dict[tuple, BenchmarkResult] = {}
 
+#: entries the content memo keeps, least recently used evicted first: a
+#: sweep measures one workload after another, so a few inputs suffice
+#: (perfbench's alat-sweep has two workloads, each an oracle + a profile)
+MEMO_SIZE = 8
+_memo: "OrderedDict[tuple, object]" = OrderedDict()
+
 
 def clear_cache() -> None:
+    """Forget every memoised result: the per-call results of
+    :func:`run_benchmark` and the content memo behind :func:`measure`."""
     _cache.clear()
+    _memo.clear()
+
+
+def _recall(kind: str, workload: Workload, args, fuel: int,
+            obs: TraceContext) -> tuple[tuple, object]:
+    """The memo key of ``kind`` for (source, args, fuel) and its value
+    (None on a miss), with one ``runner.memo`` event saying which.
+
+    The key holds the source text itself, not a digest of it: exact,
+    and hashlib's OpenSSL import alone would add ~3.6 MiB to the peak
+    RSS of a process that otherwise never loads it."""
+    key = (kind, workload.source, tuple(args), fuel)
+    value = _memo.get(key)
+    if value is not None:
+        _memo.move_to_end(key)
+    obs.event("runner.memo", kind=kind, hit=value is not None,
+              program=workload.name, args=list(args), fuel=fuel)
+    return key, value
+
+
+def _remember(key: tuple, value) -> None:
+    _memo[key] = value
+    if len(_memo) > MEMO_SIZE:
+        _memo.popitem(last=False)
+
+
+def reference_run(
+    workload: Workload, fuel: int = DEFAULT_INTERP_FUEL,
+    obs: Optional[TraceContext] = None,
+) -> InterpResult:
+    """The reference oracle: ``run_program`` on the ref input, run once
+    per (source, ref args, fuel) and then served from the memo.  A run
+    that raises (e.g. :class:`InterpTimeout`) is not remembered."""
+    key, result = _recall("oracle", workload, workload.ref_args, fuel,
+                          obs if obs is not None else TraceContext())
+    if result is None:
+        result = run_program(
+            workload.source, list(workload.ref_args), max_steps=fuel
+        )
+        _remember(key, result)
+    return result
+
+
+def compile_workload(
+    workload: Workload,
+    options: CompilerOptions,
+    fuel: int = DEFAULT_INTERP_FUEL,
+    obs: Optional[TraceContext] = None,
+) -> CompileOutput:
+    """``compile_source`` of a workload, training on its train input.
+
+    The training profile is memoised by (source, train args, fuel): a
+    miss trains inside this compilation (timed under its ``profile``
+    phase, like any ``compile_source`` call) and remembers the profile;
+    a hit binds the remembered one to this compilation's module, and no
+    ``profile`` phase runs."""
+    obs = obs if obs is not None else TraceContext()
+    key = profile = None
+    if options.spec_mode in (SpecMode.PROFILE, SpecMode.SOFTWARE):
+        key, profile = _recall("profile", workload, workload.train_args,
+                               fuel, obs)
+    output = compile_source(
+        workload.source,
+        options,
+        train_args=list(workload.train_args),
+        profile=profile,
+        name=workload.name,
+        obs=obs,
+        max_steps=fuel,
+    )
+    if key is not None and profile is None:
+        _remember(key, output.profile)
+    return output
 
 
 def measure(
@@ -218,17 +306,20 @@ def measure(
 ) -> dict[str, ModeResult]:
     """Measure one workload under each named configuration.
 
-    The reference oracle runs once; every instance is compiled (profile
-    on the train input), run on the ref input and its output checked
-    against the oracle — a mismatch raises :class:`AssertionError`
-    naming the workload and label.  Instances must have ``fallback``
-    off: a measurement that silently degraded to -O0 would corrupt
-    every figure it feeds.  ``fuel`` bounds every interpreter run (the
-    oracle and the profile-training run).  With ``trace_dir`` set, each
+    Every instance is compiled (:func:`compile_workload`: profile on the
+    train input), run on the ref input and its output checked against
+    the oracle (:func:`reference_run`) — a mismatch raises
+    :class:`AssertionError` naming the workload and label.  The oracle
+    and the training profile come from the content memo, so each runs
+    once per distinct input.  Instances must have ``fallback`` off: a
+    measurement that silently degraded to -O0 would corrupt every
+    figure it feeds.  ``fuel`` bounds every interpreter run (the oracle
+    and the profile-training run).  With ``trace_dir`` set, each
     instance streams its event trace to
-    ``{trace_dir}/{workload}.{label}.jsonl``; with ``profile_sites``,
-    each run collects the per-ALAT-site attribution profile
-    (observational only — counters are identical).
+    ``{trace_dir}/{workload}.{label}.jsonl`` (the first also records the
+    oracle's memo lookup); with ``profile_sites``, each run collects the
+    per-ALAT-site attribution profile (observational only — counters
+    are identical).
     """
     for label, options in instances.items():
         if options.fallback:
@@ -236,30 +327,23 @@ def measure(
                 f"{workload.name}/{label}: measured options must not "
                 "fall back (set fallback=False)"
             )
-    reference = run_program(
-        workload.source, list(workload.ref_args), max_steps=fuel
-    )
+    reference = None
     modes: dict[str, ModeResult] = {}
     for label, options in instances.items():
-        obs = None
+        sink = None
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
-            obs = TraceContext(JsonlSink(
+            sink = JsonlSink(
                 os.path.join(trace_dir, f"{workload.name}.{label}.jsonl")
-            ))
-        try:
-            output = compile_source(
-                workload.source,
-                options,
-                train_args=list(workload.train_args),
-                name=workload.name,
-                obs=obs,
-                max_steps=fuel,
             )
+        obs = TraceContext(sink)
+        try:
+            if reference is None:
+                reference = reference_run(workload, fuel, obs)
+            output = compile_workload(workload, options, fuel, obs)
             machine = output.run(list(workload.ref_args), profile=profile_sites)
         finally:
-            if obs is not None:
-                obs.close()
+            obs.close()
         if machine.output != reference.output:
             raise AssertionError(
                 f"{workload.name}/{label}: output mismatch vs reference\n"
